@@ -131,7 +131,9 @@ class KSpaceMask:
         return int(self.indices.size)
 
     def matches(self, other: "KSpaceMask") -> bool:
-        return self.shape == other.shape and np.array_equal(self.indices, other.indices)
+        return self is other or (
+            self.shape == other.shape and np.array_equal(self.indices, other.indices)
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,28 @@ Complex vectors go to CSV with one value per row as (index, re, im); masks
 are index lists; specs, summaries and reports are JSON.  Floats are written
 with ``repr`` so every file round-trips bit-exactly, and regeneration with
 the same seed is byte-identical.
+
+Every CSV file is a table in one text format, the same for writing and
+reading:
+
+- the first line is the header, exactly as written (``index,re,im``,
+  ``index``, ``receiver,n,re,im``, ``t,index,re,im`` or
+  ``k,receiver,omega,alpha,residual[,error_to_truth]``);
+- then one row per value, every line ended by ``\\n`` (a missing final
+  ``\\n`` is accepted), with no blank lines;
+- fields are separated by ``,`` with no quoting;
+- integers are decimal; floats are ``repr`` text, including ``nan``,
+  ``inf`` and ``-inf``.  A field is converted as Python's ``int`` or
+  ``float`` would, and integers must fit in 64 bits.
+
+A file that breaks the format raises :class:`FileFormatError` naming the
+file and, where a line is at fault, its number.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,130 +62,170 @@ _SPEC_FIELDS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_INT, _FLOAT = np.int64, np.float64
+
+# Column names and types of each CSV table.
+_COMPLEX = (("index", _INT), ("re", _FLOAT), ("im", _FLOAT))
+_MASK = (("index", _INT),)
+_MEASUREMENTS = (("t", _INT), ("index", _INT), ("re", _FLOAT), ("im", _FLOAT))
+_COEFFICIENTS = (("receiver", _INT), ("n", _INT), ("re", _FLOAT), ("im", _FLOAT))
+_TRACE = (
+    ("k", _INT),
+    ("receiver", _INT),
+    ("omega", _INT),
+    ("alpha", _FLOAT),
+    ("residual", _FLOAT),
+)
+_TRACE_ERROR = ("error_to_truth", _FLOAT)
 
 
-def _open_rows(path, expected_header):
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise FileFormatError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(path, "empty file", line=1) from None
-        if header != list(expected_header):
-            raise FileFormatError(
-                path, f"expected header {list(expected_header)}, got {header}", line=1
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise FileFormatError(
-                    path, f"expected {len(expected_header)} fields, got {len(row)}", line=lineno
-                )
-            rows.append((lineno, row))
-    return rows
+def _write_table(path, table, columns):
+    """Write ``table``'s header, then one row per element of the columns."""
+    row = ",".join("{}" if kind is _INT else "{!r}" for _, kind in table) + "\n"
+    values = [np.asarray(col, dtype=kind).tolist() for (_, kind), col in zip(table, columns)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(name for name, _ in table) + "\n")
+        fh.write("".join(map(row.format, *values)))
 
 
 def _parse(path, lineno, text, kind, what):
     try:
         return kind(text)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise FileFormatError(path, f"bad {what} value {text!r}", line=lineno) from None
 
 
-def write_complex_csv(path, values: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(values):
-            writer.writerow([i, _fmt(v.real), _fmt(v.imag)])
+def _column(path, tokens, kind, what):
+    try:
+        return np.array(tokens, dtype=kind)
+    except (ValueError, OverflowError):
+        # Only to find the line to report: the scalar type parses as the array does.
+        for lineno, text in enumerate(tokens, start=2):
+            _parse(path, lineno, text, kind, what)
+        raise
 
 
-def read_complex_csv(path) -> np.ndarray:
-    rows = _open_rows(path, ["index", "re", "im"])
-    out = np.empty(len(rows), dtype=np.complex128)
-    for pos, (lineno, row) in enumerate(rows):
-        idx = _parse(path, lineno, row[0], int, "index")
-        if idx != pos:
-            raise FileFormatError(path, f"expected index {pos}, got {idx}", line=lineno)
-        out[pos] = complex(
-            _parse(path, lineno, row[1], float, "re"), _parse(path, lineno, row[2], float, "im")
-        )
+def _checked_rows(path, table) -> str:
+    """The rows of a file in the module's CSV format, checked and joined by ``,``."""
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise FileFormatError(path, f"cannot open: {exc.strerror}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FileFormatError(path, "empty file", line=1)
+    names = [name for name, _ in table]
+    header = lines[0].split(",")
+    if header != names:
+        raise FileFormatError(path, f"expected header {names}, got {header}", line=1)
+    body = lines[1:]
+    fields = np.fromiter(map(str.count, body, repeat(",")), np.int64, len(body)) + 1
+    # A blank line has no fields, not one empty field.
+    fields[np.fromiter(map(len, body), np.int64, len(body)) == 0] = 0
+    _first_bad_row(
+        path, fields != len(table), lambda pos: f"expected {len(table)} fields, got {fields[pos]}"
+    )
+    return ",".join(body)
+
+
+def _read_table(path, table) -> list[np.ndarray]:
+    """One array per column of ``table``, read from a file in the module's CSV format."""
+    # The line strings are freed before the field strings are made.
+    rows = _checked_rows(path, table)
+    tokens = rows.split(",") if rows else []
+    return [
+        _column(path, tokens[c :: len(table)], kind, name) for c, (name, kind) in enumerate(table)
+    ]
+
+
+def _first_bad_row(path, bad, message):
+    """Raise for the first row flagged in the boolean array ``bad``, if any."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        pos = int(rows[0])
+        raise FileFormatError(path, message(pos), line=pos + 2)
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
     return out
 
 
+def write_complex_csv(path, values: np.ndarray):
+    values = np.asarray(values)
+    _write_table(path, _COMPLEX, (np.arange(values.size), values.real, values.imag))
+
+
+def read_complex_csv(path) -> np.ndarray:
+    index, re, im = _read_table(path, _COMPLEX)
+    _first_bad_row(
+        path, index != np.arange(index.size), lambda pos: f"expected index {pos}, got {index[pos]}"
+    )
+    return _complex(re, im)
+
+
 def write_mask_csv(path, mask: KSpaceMask):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index"])
-        for idx in mask.indices:
-            writer.writerow([int(idx)])
+    _write_table(path, _MASK, (mask.indices,))
 
 
 def read_mask_csv(path, shape: GridShape) -> KSpaceMask:
-    rows = _open_rows(path, ["index"])
-    indices = [_parse(path, lineno, row[0], int, "index") for lineno, row in rows]
+    (indices,) = _read_table(path, _MASK)
     try:
-        return KSpaceMask(shape, np.asarray(indices, dtype=np.int64))
+        return KSpaceMask(shape, indices)
     except ValueError as exc:
         raise FileFormatError(path, str(exc)) from None
 
 
 def write_measurements_csv(path, vector: MeasurementVector):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "index", "re", "im"])
-        for t, (idx, v) in enumerate(zip(vector.mask.indices, vector.values)):
-            writer.writerow([t, int(idx), _fmt(v.real), _fmt(v.imag)])
+    values = vector.values
+    _write_table(
+        path,
+        _MEASUREMENTS,
+        (np.arange(values.size), vector.mask.indices, values.real, values.imag),
+    )
 
 
 def read_measurements_csv(path, mask: KSpaceMask) -> MeasurementVector:
-    rows = _open_rows(path, ["t", "index", "re", "im"])
-    if len(rows) != mask.p_proj:
-        raise FileFormatError(path, f"expected {mask.p_proj} rows, got {len(rows)}")
-    values = np.empty(mask.p_proj, dtype=np.complex128)
-    for pos, (lineno, row) in enumerate(rows):
-        t = _parse(path, lineno, row[0], int, "t")
-        idx = _parse(path, lineno, row[1], int, "index")
-        if t != pos or idx != int(mask.indices[pos]):
-            raise FileFormatError(
-                path, f"row disagrees with mask: t={t}, index={idx}", line=lineno
-            )
-        values[pos] = complex(
-            _parse(path, lineno, row[2], float, "re"), _parse(path, lineno, row[3], float, "im")
-        )
-    return MeasurementVector(mask, values)
+    t, index, re, im = _read_table(path, _MEASUREMENTS)
+    if t.size != mask.p_proj:
+        raise FileFormatError(path, f"expected {mask.p_proj} rows, got {t.size}")
+    _first_bad_row(
+        path,
+        (t != np.arange(t.size)) | (index != mask.indices),
+        lambda pos: f"row disagrees with mask: t={t[pos]}, index={index[pos]}",
+    )
+    return MeasurementVector(mask, _complex(re, im))
 
 
 def write_coefficients_csv(path, coefficients: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["receiver", "n", "re", "im"])
-        for j in range(coefficients.shape[0]):
-            for n in range(coefficients.shape[1]):
-                v = coefficients[j, n]
-                writer.writerow([j, n, _fmt(v.real), _fmt(v.imag)])
+    r_num, b_num = coefficients.shape
+    _write_table(
+        path,
+        _COEFFICIENTS,
+        (
+            np.repeat(np.arange(r_num), b_num),
+            np.tile(np.arange(b_num), r_num),
+            coefficients.real.ravel(),
+            coefficients.imag.ravel(),
+        ),
+    )
 
 
 def read_coefficients_csv(path, r_num: int, b_num: int) -> np.ndarray:
-    rows = _open_rows(path, ["receiver", "n", "re", "im"])
-    if len(rows) != r_num * b_num:
-        raise FileFormatError(path, f"expected {r_num * b_num} rows, got {len(rows)}")
-    out = np.empty((r_num, b_num), dtype=np.complex128)
-    for pos, (lineno, row) in enumerate(rows):
-        j = _parse(path, lineno, row[0], int, "receiver")
-        n = _parse(path, lineno, row[1], int, "n")
-        if j != pos // b_num or n != pos % b_num:
-            raise FileFormatError(path, f"rows out of order at ({j}, {n})", line=lineno)
-        out[j, n] = complex(
-            _parse(path, lineno, row[2], float, "re"), _parse(path, lineno, row[3], float, "im")
-        )
-    return out
+    j, n, re, im = _read_table(path, _COEFFICIENTS)
+    if j.size != r_num * b_num:
+        raise FileFormatError(path, f"expected {r_num * b_num} rows, got {j.size}")
+    pos = np.arange(j.size)
+    _first_bad_row(
+        path,
+        (j != pos // b_num) | (n != pos % b_num),
+        lambda row: f"rows out of order at ({j[row]}, {n[row]})",
+    )
+    return _complex(re, im).reshape(r_num, b_num)
 
 
 def write_pgm(path, image: ComplexImage):
@@ -318,20 +374,9 @@ def load_instance(instance_dir) -> Instance:
 
 
 def write_trace_csv(path, trace: IterationTrace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["k", "receiver", "omega", "alpha", "residual"]
-        if trace.errors is not None:
-            header.append("error_to_truth")
-        writer.writerow(header)
-        for t in range(trace.n_steps):
-            row = [
-                int(trace.steps[t]),
-                int(trace.receivers[t]),
-                int(trace.omegas[t]),
-                _fmt(trace.alphas[t]),
-                _fmt(trace.residuals[t]),
-            ]
-            if trace.errors is not None:
-                row.append(_fmt(trace.errors[t]))
-            writer.writerow(row)
+    table = _TRACE
+    columns = [trace.steps, trace.receivers, trace.omegas, trace.alphas, trace.residuals]
+    if trace.errors is not None:
+        table += (_TRACE_ERROR,)
+        columns.append(trace.errors)
+    _write_table(path, table, columns)

@@ -35,6 +35,98 @@ def read_bytes(path):
     return Path(path).read_bytes()
 
 
+def edit_file(path, edit):
+    """Rewrite a text file through ``edit``, a function of its list of lines."""
+    path.write_text("".join(f"{text}\n" for text in edit(path.read_text().splitlines())))
+
+
+def replace_line(lineno, text):
+    def edit(lines):
+        lines[lineno - 1] = text
+        return lines
+
+    return edit
+
+
+def set_field(lineno, col, text):
+    def edit(lines):
+        fields = lines[lineno - 1].split(",")
+        fields[col] = text
+        lines[lineno - 1] = ",".join(fields)
+        return lines
+
+    return edit
+
+
+def insert_line(lineno, text):
+    def edit(lines):
+        lines.insert(lineno - 1, text)
+        return lines
+
+    return edit
+
+
+def empty(lines):
+    return []
+
+
+def drop_last(lines):
+    return lines[:-1]
+
+
+def repeat_last(lines):
+    return lines + lines[-1:]
+
+
+# Columns of the four CSV readers' files in an 8x8, r_num=2, b_num=2 instance
+# (64 image rows, 4 coefficient rows, 32 mask and measurement rows).
+GT, MASK, COEF, MEAS = "ground_truth.csv", "mask.csv", "coefficients.csv", "measurements_0.csv"
+CSV_COLUMNS = {
+    GT: ("index", "re", "im"),
+    MASK: ("index",),
+    COEF: ("receiver", "n", "re", "im"),
+    MEAS: ("t", "index", "re", "im"),
+}
+INT_COLUMNS = {"index", "t", "receiver", "n"}
+TOO_BIG = "99999999999999999999"
+
+
+def corruption(name, edit, line, fragment, fault):
+    """File, edit of its lines, line number in the message (None: no line), message fragment."""
+    return pytest.param(name, edit, line, fragment, id=f"{name}-{fault}")
+
+
+CORRUPTIONS = [
+    *(corruption(f, empty, 1, "empty file", "empty") for f in CSV_COLUMNS),
+    *(corruption(f, replace_line(1, "a,b"), 1, "expected header", "header") for f in CSV_COLUMNS),
+    *(corruption(f, insert_line(4, ""), 4, "fields, got 0", "blank-line") for f in CSV_COLUMNS),
+    corruption(GT, replace_line(4, "2,0.5"), 4, "expected 3 fields, got 2", "short-row"),
+    corruption(MASK, replace_line(4, "5,6"), 4, "expected 1 fields, got 2", "long-row"),
+    corruption(COEF, replace_line(4, "1,0,0.5"), 4, "expected 4 fields, got 3", "short-row"),
+    corruption(MEAS, replace_line(4, "2,5,0.5"), 4, "expected 4 fields, got 3", "short-row"),
+    *(
+        corruption(f, set_field(4, c, "x"), 4, f"bad {col} value 'x'", f"{col}-value")
+        for f, cols in CSV_COLUMNS.items()
+        for c, col in enumerate(cols)
+    ),
+    # An integer beyond 64 bits is reported with its line by every reader.
+    *(
+        corruption(f, set_field(4, c, TOO_BIG), 4, TOO_BIG, f"{col}-overflow")
+        for f, cols in CSV_COLUMNS.items()
+        for c, col in enumerate(cols)
+        if col in INT_COLUMNS
+    ),
+    corruption(GT, set_field(4, 0, "7"), 4, "expected index 2, got 7", "index-order"),
+    corruption(COEF, set_field(4, 0, "0"), 4, "rows out of order at (0, 0)", "receiver-order"),
+    corruption(COEF, set_field(4, 1, "1"), 4, "rows out of order at (1, 1)", "n-order"),
+    corruption(MEAS, set_field(4, 0, "5"), 4, "disagrees with mask: t=5", "t-mask"),
+    corruption(MEAS, set_field(4, 1, "-1"), 4, "disagrees with mask: t=2, index=-1", "index-mask"),
+    corruption(GT, drop_last, None, "ground truth length does not match grid", "row-count"),
+    corruption(COEF, drop_last, None, "expected 4 rows, got 3", "row-count"),
+    corruption(MEAS, repeat_last, None, "expected 32 rows, got 33", "row-count"),
+    corruption(MASK, replace_line(2, "-1"), None, "strictly increasing", "range"),
+]
+
 class TestInstanceRoundTrip:
     def test_write_then_load_is_bit_identical(self, tmp_path):
         inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=3, b_num=2, seed=77))
@@ -53,16 +145,17 @@ class TestInstanceRoundTrip:
             np.testing.assert_array_equal(a.values, b.values)
         assert loaded.truth.rho == inst.truth.rho
 
-    def test_corrupt_csv_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("name, edit, line, fragment", CORRUPTIONS)
+    def test_corrupt_csv_reports_line(self, tmp_path, name, edit, line, fragment):
         inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
         io.write_instance(inst, tmp_path)
-        target = tmp_path / "ground_truth.csv"
-        lines = target.read_text().splitlines()
-        lines[3] = "2,not_a_number,0.0"
-        target.write_text("\n".join(lines) + "\n")
+        target = tmp_path / name
+        edit_file(target, edit)
         with pytest.raises(FileFormatError) as err:
             io.load_instance(tmp_path)
-        assert ":4:" in str(err.value)
+        loc = f"{target}:{line}" if line is not None else str(target)
+        assert str(err.value).startswith(f"{loc}: ")
+        assert fragment in str(err.value)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -212,6 +305,11 @@ class TestReconstructCommand:
         assert summary["joint"]
         assert summary["metadata"]["guarantee"].startswith("experimental")
         assert (tmp_path / "rec" / "result_coefficients.csv").exists()
+
+    def test_overflowing_mask_index_is_io_error(self, tmp_path, generated):
+        edit_file(generated / "mask.csv", replace_line(2, TOO_BIG))
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run)]) == 4
 
     def test_missing_instance_is_io_error(self, tmp_path):
         run = write_run_config(tmp_path / "run.json", tmp_path / "ghost", tmp_path / "rec")
