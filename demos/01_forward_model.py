@@ -12,8 +12,8 @@ from mrikacz import io
 
 # A 4x4 grid: images are complex vectors of length 16, flattened row-major.
 shape = mk.GridShape(4, 4)
-plan = mk.make_plan(shape.p_num)
-print(f"grid {shape.p_ver}x{shape.p_hor}, p_num = {shape.p_num}, plan = {plan.algorithm}")
+plan = mk.DftPlan(shape.p_num)
+print(f"grid {shape.p_ver}x{shape.p_hor}, p_num = {shape.p_num}")
 
 # The transform is the plain 1-D sum over the flattened index.  With no
 # forward normalization, adjoint(forward(f)) returns p_num * f.

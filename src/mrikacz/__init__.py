@@ -25,7 +25,6 @@ from .grid import (
     SensitivityModel,
     all_finite,
     inner_product,
-    materialize_sensitivity,
     norm,
     pointwise_multiply,
 )
@@ -35,8 +34,6 @@ from .transform import (
     dft_forward,
     dft_inverse,
     embed,
-    is_power_of_two,
-    make_plan,
     project,
 )
 from .operators import (

@@ -2,20 +2,16 @@
 
 Subcommands: ``generate`` (synthesize an instance directory), ``reconstruct``
 (run a solver on an instance and emit trace/summary/image files),
-``probe-cone`` (sample tangential-cone ratios), ``bench-fft`` (time the fast
-vs naive transform).  Exit codes: 0 success, 2 configuration/usage error,
-3 numerical failure, 4 I/O or parse error.
+and ``probe-cone`` (sample tangential-cone ratios).  Exit codes: 0 success,
+2 configuration/usage error, 3 numerical failure, 4 I/O or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import io
 from .errors import ConfigurationError, FileFormatError, NumericalFailure
@@ -23,15 +19,11 @@ from .grid import ComplexImage, JointParameter, norm
 from .operators import ScalarProductModel, cone_probe, rescale_problem
 from .phantoms import synthesize
 from .solvers import METHOD_LLK, METHOD_LSDK, SolverConfig, run_joint, run_linear
-from .transform import DftPlan, NAIVE, is_power_of_two
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-BENCH_NAIVE_LIMIT = 4096
-BENCH_REPS = 5
 
 
 @dataclass(frozen=True)
@@ -252,43 +244,6 @@ def cmd_probe_cone(args) -> int:
     return EXIT_OK
 
 
-def _median_seconds(fn, reps=BENCH_REPS) -> float:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def cmd_bench_fft(args) -> int:
-    sizes = list(args.sizes)
-    bad = [s for s in sizes if not is_power_of_two(s)]
-    if bad:
-        raise ConfigurationError(f"sizes must be powers of two, got {bad}")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for size in sizes:
-        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        fast = DftPlan(size, "fast")
-        fast.forward_values(x)  # warm up tables and caches
-        rows.append((size, "fast", _median_seconds(lambda: fast.forward_values(x)), ""))
-        if size <= BENCH_NAIVE_LIMIT:
-            naive = DftPlan(size, NAIVE)
-            rows.append((size, "naive", _median_seconds(lambda: naive.forward_values(x)), ""))
-        else:
-            rows.append((size, "naive", None, f"skipped: naive transform disabled above {BENCH_NAIVE_LIMIT}"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bench.csv", "w", newline="") as fh:
-        fh.write("p_num,algorithm,median_seconds,note\n")
-        for size, algo, med, note in rows:
-            fh.write(f"{size},{algo},{'' if med is None else repr(med)},{note}\n")
-    for size, algo, med, note in rows:
-        print(f"{size:>8} {algo:>6} {'-' if med is None else f'{med:.6f}s'} {note}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrikacz",
@@ -317,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=None)
     c.set_defaults(func=cmd_probe_cone)
 
-    b = sub.add_parser("bench-fft", help="time the fast vs naive transform")
-    b.add_argument("sizes", nargs="+", type=int, help="power-of-two transform lengths")
-    b.add_argument("--out", default=".", help="output directory")
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench_fft)
     return parser
 
 

@@ -274,11 +274,6 @@ def combine_basis(basis_matrix: np.ndarray, coefficients: np.ndarray) -> np.ndar
     return np.asarray(coefficients, dtype=np.complex128) @ basis_matrix
 
 
-def materialize_sensitivity(model: SensitivityModel, receiver: int) -> ComplexImage:
-    """Receiver ``receiver``'s sensitivity image under ``model``."""
-    return model.materialize(receiver)
-
-
 @dataclass(frozen=True, eq=False)
 class JointParameter:
     """A point (image, coefficients) of the joint identification space.

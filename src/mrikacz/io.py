@@ -42,7 +42,7 @@ from .grid import (
 from .operators import LinearForward
 from .phantoms import GroundTruth, Instance, InstanceSpec
 from .solvers import IterationTrace
-from .transform import make_plan
+from .transform import DftPlan
 
 FORMAT_VERSION = 1
 
@@ -105,6 +105,10 @@ def _column(path, tokens, kind, what):
         raise
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> FileFormatError:
+    return FileFormatError(path, f"not {exc.encoding} text: {exc.reason}")
+
+
 def _checked_rows(path, table) -> str:
     """The rows of a file in the module's CSV format, checked and joined by ``,``."""
     try:
@@ -112,6 +116,8 @@ def _checked_rows(path, table) -> str:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise FileFormatError(path, f"cannot open: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -253,6 +259,8 @@ def read_json(path) -> dict:
         raise FileFormatError(path, f"cannot open: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(path, exc.msg, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def spec_to_dict(spec: InstanceSpec) -> dict:
@@ -346,7 +354,7 @@ def load_instance(instance_dir) -> Instance:
             raise FileFormatError(d / f"basis_{n}.csv", "basis length does not match grid")
         basis.append(ComplexImage(shape, vals))
     model = SensitivityModel(tuple(basis), coeff)
-    plan = make_plan(shape.p_num)
+    plan = DftPlan(shape.p_num)
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
 
     deltas = np.asarray(meta["deltas_absolute"], dtype=np.float64)

@@ -165,11 +165,9 @@ class JointForward:
         s_x = self._sensitivity(x.coefficients[self.receiver])
         back = dft_adjoint(self.plan, embed(self.mask, data))
         image_part = ComplexImage(self.grid_shape, np.conj(s_x.values) * back.values * self.scale)
+        # <data, P F (x * basis_n)> = <F* P* data, x * basis_n>: reuse ``back``.
         coeff_part = np.zeros_like(x.coefficients)
-        for n in range(self.b_num):
-            weighted = grid.pointwise_multiply(x.image, self.basis[n])
-            m_n = project(self.mask, dft_forward(self.plan, weighted))
-            coeff_part[self.receiver, n] = self.scale * grid.inner_product(data, m_n)
+        coeff_part[self.receiver] = self.scale * (np.conj(self.basis_matrix * x.image.values) @ back.values)
         return JointParameter(image_part, coeff_part)
 
     def frozen(self, coefficients: np.ndarray) -> LinearForward:

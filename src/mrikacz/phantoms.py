@@ -24,7 +24,7 @@ from .grid import (
     SensitivityModel,
 )
 from .operators import LinearForward, LinearProblem, JointForward, JointProblem
-from .transform import make_plan
+from .transform import DftPlan
 
 PHANTOM_FAMILIES = ("constant", "checker", "blobs")
 BASIS_FAMILIES = ("constant", "harmonics", "bumps")
@@ -265,7 +265,7 @@ def synthesize(spec: InstanceSpec) -> Instance:
     image = make_phantom(spec.phantom_family, shape, seed_phantom)
     basis = make_basis(spec.basis_family, spec.b_num, shape)
     mask = make_mask(spec.mask_family, shape, p_proj=spec.p_proj, fraction=spec.mask_fraction, seed=seed_mask)
-    plan = make_plan(shape.p_num)
+    plan = DftPlan(shape.p_num)
 
     rng = np.random.default_rng(seed_coeff)
     coeff = rng.standard_normal((spec.r_num, spec.b_num)) + 1j * rng.standard_normal(

@@ -6,15 +6,13 @@ The transform acts on the row-major flattening of an image:
     adjoint:  out[n] = sum_m g[m] * exp(+2*pi*i * n*m / p_num)
 
 There is no forward normalization; adjoint(forward(f)) == p_num * f, and the
-inverse is adjoint / p_num.  Two evaluation paths exist: a radix-2
-decimation-in-time FFT with precomputed twiddle and bit-reversal tables
-(power-of-two lengths only) and a naive matrix product that accepts any
-length and serves as the independent oracle for the fast path.
+inverse is adjoint / p_num.  Both directions are evaluated by ``numpy.fft``
+at any length in O(p_num log p_num); the tests check them against the dense
+O(p_num^2) matrix.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,136 +20,32 @@ import numpy as np
 from .errors import DimensionMismatch
 from .grid import ComplexImage, KSpaceMask, MeasurementVector
 
-logger = logging.getLogger(__name__)
-
-FAST = "fast"
-NAIVE = "naive"
-
-# Largest length for which the naive path caches the full DFT matrix
-# (complex128: 4096^2 entries = 256 MiB).  Above this the rows are generated
-# on the fly in blocks.
-_NAIVE_MATRIX_LIMIT = 4096
-_NAIVE_BLOCK_ROWS = 512
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.flags.writeable = False
-    return rev
-
-def _dft_matrix(n: int) -> np.ndarray:
-    # exp(-2*pi*i * k / n) looked up at k = (row * col) mod n; the modular
-    # reduction keeps every twiddle angle in [0, 2*pi) at full precision.
-    table = np.exp(-2j * np.pi * np.arange(n) / n)
-    k = np.arange(n, dtype=np.int64)
-    mat = table[np.outer(k, k) % n]
-    mat.flags.writeable = False
-    return mat
-
 
 @dataclass(frozen=True, eq=False)
 class DftPlan:
-    """Precomputed tables for transforms of one fixed length.
-
-    ``algorithm`` is ``"fast"`` (radix-2, power-of-two lengths) or
-    ``"naive"`` (matrix product, any length).  Plans are immutable and can
-    be shared across threads.
-    """
+    """Transforms of one fixed length; immutable and shareable across threads."""
 
     p_num: int
-    algorithm: str = FAST
 
     def __post_init__(self):
         if self.p_num < 1:
             raise ValueError("transform length must be >= 1")
-        if self.algorithm not in (FAST, NAIVE):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == FAST:
-            if not is_power_of_two(self.p_num):
-                raise ValueError(
-                    f"fast plan requires a power-of-two length, got {self.p_num}"
-                )
-            twiddle = np.exp(-2j * np.pi * np.arange(self.p_num // 2) / self.p_num)
-            twiddle.flags.writeable = False
-            object.__setattr__(self, "_twiddle", twiddle)
-            object.__setattr__(self, "_bitrev", _bit_reversal(self.p_num))
-            object.__setattr__(self, "_matrix", None)
-        else:
-            matrix = _dft_matrix(self.p_num) if self.p_num <= _NAIVE_MATRIX_LIMIT else None
-            object.__setattr__(self, "_twiddle", None)
-            object.__setattr__(self, "_bitrev", None)
-            object.__setattr__(self, "_matrix", matrix)
 
-    def _check_length(self, values: np.ndarray):
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if values.size != self.p_num:
             raise DimensionMismatch(
                 f"plan length {self.p_num} does not match input length {values.size}"
             )
+        return values
 
     def forward_values(self, values: np.ndarray) -> np.ndarray:
         """Forward transform on a flat complex array."""
-        values = np.asarray(values, dtype=np.complex128).reshape(-1)
-        self._check_length(values)
-        if self.algorithm == FAST:
-            return _fft_radix2(values, self._bitrev, self._twiddle)
-        if self._matrix is not None:
-            return self._matrix @ values
-        return _naive_blocked(values, sign=-1.0)
+        return np.fft.fft(self._checked(values))
 
     def adjoint_values(self, values: np.ndarray) -> np.ndarray:
-        """Adjoint transform (conjugate kernel) on a flat complex array."""
-        values = np.asarray(values, dtype=np.complex128).reshape(-1)
-        self._check_length(values)
-        if self.algorithm == FAST:
-            return np.conj(_fft_radix2(np.conj(values), self._bitrev, self._twiddle))
-        if self._matrix is not None:
-            return np.conj(self._matrix) @ values
-        return _naive_blocked(values, sign=+1.0)
-
-
-def _fft_radix2(x: np.ndarray, bitrev: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time butterfly pass."""
-    n = x.size
-    y = x[bitrev]
-    half = 1
-    while half < n:
-        w = twiddle[:: n // (2 * half)][:half]
-        blocks = y.reshape(-1, 2 * half)
-        odd = blocks[:, half:] * w
-        even = blocks[:, :half]
-        y = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-        half *= 2
-    return y
-
-
-def _naive_blocked(values: np.ndarray, sign: float) -> np.ndarray:
-    n = values.size
-    table = np.exp(sign * 2j * np.pi * np.arange(n) / n)
-    out = np.empty(n, dtype=np.complex128)
-    cols = np.arange(n, dtype=np.int64)
-    for start in range(0, n, _NAIVE_BLOCK_ROWS):
-        rows = np.arange(start, min(start + _NAIVE_BLOCK_ROWS, n), dtype=np.int64)
-        out[start : start + rows.size] = table[np.outer(rows, cols) % n] @ values
-    return out
-
-
-def make_plan(p_num: int, prefer: str = FAST) -> DftPlan:
-    """Plan for length ``p_num``, falling back to the naive path if needed."""
-    if prefer == FAST and not is_power_of_two(p_num):
-        logger.warning(
-            "length %d is not a power of two; falling back to the naive transform", p_num
-        )
-        return DftPlan(p_num, NAIVE)
-    return DftPlan(p_num, prefer)
+        """Adjoint transform (conjugate kernel, unnormalized) on a flat complex array."""
+        return np.fft.ifft(self._checked(values), norm="forward")
 
 
 def dft_forward(plan: DftPlan, f: ComplexImage) -> ComplexImage:

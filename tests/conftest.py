@@ -31,6 +31,19 @@ def dft_loop(x):
     return out
 
 
+def dft_matrix(n, rows=None):
+    """Rows (all by default) of the dense forward DFT matrix of length ``n``.
+
+    exp(-2*pi*i * k / n) is looked up at k = (row * col) mod n; the modular
+    reduction keeps every twiddle angle in [0, 2*pi) at full precision.  The
+    adjoint's rows are the complex conjugates.
+    """
+    table = np.exp(-2j * np.pi * np.arange(n) / n)
+    cols = np.arange(n, dtype=np.int64)
+    rows = cols if rows is None else np.asarray(rows, dtype=np.int64)
+    return table[np.outer(rows, cols) % n]
+
+
 def linear_matrix(apply_fn, dim):
     """Dense matrix of a linear map given column by column."""
     cols = []
@@ -79,4 +92,4 @@ def tiny_unit_op():
     shape = mk.GridShape(2, 2)
     model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), [[1.0]])
     mask = mk.KSpaceMask(shape, np.arange(4))
-    return mk.LinearForward(model, mask, mk.DftPlan(4, "fast"), 0)
+    return mk.LinearForward(model, mask, mk.DftPlan(4), 0)

@@ -170,7 +170,7 @@ class TestSensitivityModel:
         with pytest.raises(IndexError):
             model.materialize(1)
         with pytest.raises(IndexError):
-            mk.materialize_sensitivity(model, -1)
+            model.materialize(-1)
 
     def test_linear_in_coefficients(self):
         rng = np.random.default_rng(3)

@@ -311,6 +311,15 @@ class TestReconstructCommand:
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run)]) == 4
 
+    @pytest.mark.parametrize("target", ["mask.csv", "run.json"])
+    def test_undecodable_bytes_are_io_error(self, tmp_path, generated, capsys, target):
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        path = run if target == "run.json" else generated / target
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert str(path) in capsys.readouterr().err
+
     def test_missing_instance_is_io_error(self, tmp_path):
         run = write_run_config(tmp_path / "run.json", tmp_path / "ghost", tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run)]) == 4
@@ -344,28 +353,3 @@ class TestProbeConeCommand:
             json.dump({"samples": 0}, fh)
         assert main(["probe-cone", "--config", str(cfgpath), "--out", str(tmp_path)]) == 2
 
-
-class TestBenchCommand:
-    def test_schema(self, tmp_path):
-        assert main(["bench-fft", "64", "128", "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "bench.csv").read_text().splitlines()
-        assert rows[0] == "p_num,algorithm,median_seconds,note"
-        assert len(rows) == 5
-        algos = [r.split(",")[1] for r in rows[1:]]
-        assert algos == ["fast", "naive", "fast", "naive"]
-
-    def test_naive_skipped_above_limit(self, tmp_path):
-        assert main(["bench-fft", "8192", "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "bench.csv").read_text().splitlines()
-        naive_row = [r for r in rows[1:] if r.split(",")[1] == "naive"][0]
-        assert naive_row.split(",")[2] == ""
-        assert "skipped" in naive_row
-
-    def test_non_power_of_two_usage_error(self, tmp_path):
-        assert main(["bench-fft", "300", "--out", str(tmp_path)]) == 2
-
-    def test_fast_path_completes_at_65536(self, tmp_path):
-        assert main(["bench-fft", "65536", "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "bench.csv").read_text().splitlines()
-        fast_row = [r for r in rows[1:] if r.split(",")[1] == "fast"][0]
-        assert float(fast_row.split(",")[2]) > 0

@@ -15,7 +15,7 @@ from conftest import (
 )
 
 SHAPE2 = mk.GridShape(2, 2)
-PLAN4 = mk.DftPlan(4, "fast")
+PLAN4 = mk.DftPlan(4)
 FULL4 = mk.KSpaceMask(SHAPE2, np.arange(4))
 
 

@@ -7,7 +7,7 @@ from mrikacz.errors import ConfigurationError, NumericalFailure, SingularStepErr
 from conftest import random_image
 
 SHAPE2 = mk.GridShape(2, 2)
-PLAN4 = mk.DftPlan(4, "fast")
+PLAN4 = mk.DftPlan(4)
 FULL4 = mk.KSpaceMask(SHAPE2, np.arange(4))
 
 

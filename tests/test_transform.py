@@ -1,4 +1,3 @@
-import logging
 import time
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import mrikacz as mk
 from mrikacz.errors import DimensionMismatch
 
-from conftest import brute_inner, dft_loop, random_image
+from conftest import brute_inner, dft_loop, dft_matrix, random_image
 
 
 def flat_image(values):
@@ -17,12 +16,12 @@ def flat_image(values):
 
 class TestForward:
     def test_constant_input(self):
-        plan = mk.DftPlan(4, "fast")
+        plan = mk.DftPlan(4)
         out = mk.dft_forward(plan, flat_image([1, 1, 1, 1]))
         np.testing.assert_allclose(out.values, [4, 0, 0, 0], atol=1e-14)
 
     def test_impulse_maps_to_constant(self):
-        plan = mk.DftPlan(4, "fast")
+        plan = mk.DftPlan(4)
         out = mk.dft_forward(plan, flat_image([1, 0, 0, 0]))
         np.testing.assert_allclose(out.values, [1, 1, 1, 1], atol=1e-14)
 
@@ -30,57 +29,49 @@ class TestForward:
         x = np.array([1, 1j, -1, -1j])
         expected = dft_loop(x)
         np.testing.assert_allclose(expected, [0, 4, 0, 0], atol=1e-12)
-        for algo in ("fast", "naive"):
-            out = mk.dft_forward(mk.DftPlan(4, algo), flat_image(x))
-            np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        out = mk.dft_forward(mk.DftPlan(4), flat_image(x))
+        np.testing.assert_allclose(out.values, expected, atol=1e-12)
 
     def test_non_power_of_two_naive_against_loop_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        out = mk.DftPlan(6, "naive").forward_values(x)
+        out = mk.DftPlan(6).forward_values(x)
         np.testing.assert_allclose(out, dft_loop(x), atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mk.dft_forward(mk.DftPlan(4, "fast"), flat_image([1, 2]))
+            mk.dft_forward(mk.DftPlan(4), flat_image([1, 2]))
 
-    def test_fast_requires_power_of_two(self):
+    def test_length_must_be_positive(self):
         with pytest.raises(ValueError):
-            mk.DftPlan(6, "fast")
-
-    def test_make_plan_falls_back_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="mrikacz.transform"):
-            plan = mk.make_plan(12)
-        assert plan.algorithm == "naive"
-        assert any("power of two" in rec.message for rec in caplog.records)
-        assert mk.make_plan(16).algorithm == "fast"
+            mk.DftPlan(0)
 
 
 class TestAdjoint:
     def test_adjoint_of_constant_spectrum(self):
-        plan = mk.DftPlan(4, "fast")
+        plan = mk.DftPlan(4)
         out = mk.dft_adjoint(plan, flat_image([4, 0, 0, 0]))
         np.testing.assert_allclose(out.values, [4, 4, 4, 4], atol=1e-14)
 
     def test_zero(self):
-        plan = mk.DftPlan(4, "naive")
+        plan = mk.DftPlan(4)
         out = mk.dft_adjoint(plan, flat_image([0, 0, 0, 0]))
         np.testing.assert_array_equal(out.values, np.zeros(4))
 
-    @pytest.mark.parametrize("algo", ["fast", "naive"])
-    def test_dot_product_identity_length_8(self, algo):
-        rng = np.random.default_rng(8)
-        plan = mk.DftPlan(8, algo)
-        f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    @pytest.mark.parametrize("p_num", [6, 8, 251])
+    def test_dot_product_identity(self, p_num):
+        rng = np.random.default_rng(p_num)
+        plan = mk.DftPlan(p_num)
+        f = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
+        g = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
         lhs = brute_inner(plan.forward_values(f), g)
         rhs = brute_inner(f, plan.adjoint_values(g))
         assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(f) * np.linalg.norm(g) + 1)
 
-    @pytest.mark.parametrize("p_num", [4, 16, 256, 4096])
+    @pytest.mark.parametrize("p_num", [4, 6, 16, 256, 1296, 4096])
     def test_adjoint_forward_is_p_num_identity(self, p_num):
         rng = np.random.default_rng(p_num)
-        plan = mk.DftPlan(p_num, "fast")
+        plan = mk.DftPlan(p_num)
         shape = mk.GridShape(p_num, 1)
         f = random_image(rng, shape)
         back = mk.dft_adjoint(plan, mk.dft_forward(plan, f))
@@ -88,37 +79,41 @@ class TestAdjoint:
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(5)
-        plan = mk.DftPlan(64, "fast")
+        plan = mk.DftPlan(64)
         shape = mk.GridShape(8, 8)
         f = random_image(rng, shape)
         assert mk.norm(mk.dft_inverse(plan, mk.dft_forward(plan, f)) - f) <= 1e-10 * mk.norm(f)
 
 
 class TestFastNaiveAgreement:
-    @pytest.mark.parametrize("p_num", [2**k for k in range(13)])
-    def test_power_of_two_sizes(self, p_num):
+    """``DftPlan`` against the dense matrix oracle of conftest, any length."""
+
+    def check_against_matrix(self, p_num):
         rng = np.random.default_rng(p_num)
-        fast = mk.DftPlan(p_num, "fast")
-        naive = mk.DftPlan(p_num, "naive")
+        plan = mk.DftPlan(p_num)
+        mat = dft_matrix(p_num)
         for _ in range(3):
             x = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
-            np.testing.assert_allclose(fast.forward_values(x), naive.forward_values(x), atol=1e-9)
-            np.testing.assert_allclose(fast.adjoint_values(x), naive.adjoint_values(x), atol=1e-9)
+            np.testing.assert_allclose(plan.forward_values(x), mat @ x, atol=1e-9)
+            np.testing.assert_allclose(plan.adjoint_values(x), np.conj(mat) @ x, atol=1e-9)
 
-    def test_blocked_naive_path_above_matrix_limit(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
-        fast = mk.DftPlan(8192, "fast")
-        naive = mk.DftPlan(8192, "naive")
-        assert naive._matrix is None
-        np.testing.assert_allclose(fast.forward_values(x), naive.forward_values(x), atol=1e-8)
-        np.testing.assert_allclose(fast.adjoint_values(x), naive.adjoint_values(x), atol=1e-8)
+    @pytest.mark.parametrize("p_num", [2**k for k in range(13)])
+    def test_power_of_two_sizes(self, p_num):
+        self.check_against_matrix(p_num)
 
-    def test_agreement_with_numpy_fft(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-        plan = mk.DftPlan(1024, "fast")
-        np.testing.assert_allclose(plan.forward_values(x), np.fft.fft(x), atol=1e-9)
+    @pytest.mark.parametrize("p_num", [6, 251, 1296])
+    def test_non_power_of_two_sizes(self, p_num):
+        self.check_against_matrix(p_num)
+
+    @pytest.mark.parametrize("p_num", [8192, 9216])
+    def test_bins_against_defining_sum_at_large_lengths(self, p_num):
+        rng = np.random.default_rng(p_num)
+        plan = mk.DftPlan(p_num)
+        bins = np.sort(rng.choice(p_num, size=64, replace=False))
+        rows = dft_matrix(p_num, bins)
+        x = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
+        np.testing.assert_allclose(plan.forward_values(x)[bins], rows @ x, atol=1e-9)
+        np.testing.assert_allclose(plan.adjoint_values(x)[bins], np.conj(rows) @ x, atol=1e-9)
 
 
 class TestOperatorNorm:
@@ -127,7 +122,7 @@ class TestOperatorNorm:
         shape = mk.GridShape(p_num, 1)
         model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), [[1.0]])
         mask = mk.KSpaceMask(shape, np.arange(p_num))
-        op = mk.LinearForward(model, mask, mk.DftPlan(p_num, "fast"), 0)
+        op = mk.LinearForward(model, mask, mk.DftPlan(p_num), 0)
         assert mk.estimate_norm(op) == pytest.approx(np.sqrt(p_num), rel=1e-6)
 
 
@@ -204,7 +199,7 @@ class TestFastCostScaling:
         # Qualitative n log n check; timing noise gets one retry with more reps.
         sizes = [1024, 2048, 4096, 8192]
         for reps in (7, 21):
-            plans = {n: mk.DftPlan(n, "fast") for n in sizes}
+            plans = {n: mk.DftPlan(n) for n in sizes}
             inputs = {
                 n: np.random.default_rng(n).standard_normal(n) * (1 + 0j) for n in sizes
             }
@@ -214,4 +209,4 @@ class TestFastCostScaling:
             ratios = [med[b] / med[a] for a, b in zip(sizes, sizes[1:])]
             if max(ratios) <= 2.6:
                 return
-        pytest.fail(f"fast path cost ratios exceeded 2.6 per doubling: {ratios}")
+        pytest.fail(f"transform cost ratios exceeded 2.6 per doubling: {ratios}")
