@@ -58,7 +58,20 @@ class TestAdjoint:
         out = mk.dft_adjoint(plan, flat_image([0, 0, 0, 0]))
         np.testing.assert_array_equal(out.values, np.zeros(4))
 
-    @pytest.mark.parametrize("p_num", [6, 8, 251])
+    @pytest.mark.parametrize("forward", ["fast", "naive"])
+    def test_dot_product_identity_length_8(self, forward):
+        """<Af, g> = <f, A^H g> with A the plan's transform ("fast") or the
+        defining loop sum ("naive"), so the adjoint is checked against both."""
+        rng = np.random.default_rng(8)
+        plan = mk.DftPlan(8)
+        apply = plan.forward_values if forward == "fast" else dft_loop
+        f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        lhs = brute_inner(apply(f), g)
+        rhs = brute_inner(f, plan.adjoint_values(g))
+        assert abs(lhs - rhs) <= 1e-10 * (np.linalg.norm(f) * np.linalg.norm(g) + 1)
+
+    @pytest.mark.parametrize("p_num", [6, 251])
     def test_dot_product_identity(self, p_num):
         rng = np.random.default_rng(p_num)
         plan = mk.DftPlan(p_num)
