@@ -6,6 +6,12 @@ flattened in row-major order: the pixel in (1-based) row ``r`` and column
 fixed package-wide; the Fourier transform, masks and all file formats refer
 to it.  Every type here is an immutable value (the backing arrays are marked
 read-only), so instances can be shared freely across threads.
+
+The public constructors validate their input and copy it, so a caller's
+array can change afterwards without changing the value.  Results the
+library computes itself (arithmetic, products, transforms, restrictions and
+operator outputs) wrap a freshly allocated array, marked read-only, that
+shares memory with none of the operands.
 """
 
 from __future__ import annotations
@@ -19,12 +25,32 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
+_COMPLEX = np.dtype(np.complex128)
+
+
 def _frozen_complex(values, length, what):
-    vals = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    vals = np.array(values, dtype=np.complex128, order="C").reshape(-1)
     if length is not None and vals.size != length:
         raise DimensionMismatch(f"{what}: expected length {length}, got {vals.size}")
     vals.flags.writeable = False
     return vals
+
+
+def _fresh(cls, first, values):
+    """``cls(first, values)`` for an array the library allocated one line earlier.
+
+    ``values`` must be a new array of the right shape that nothing else
+    references; it is marked read-only and adopted without the public
+    constructor's copy and checks.  A scalar factor of another kind (a
+    ``longdouble``, say) can give another dtype; such a result is converted
+    as the public constructor would convert it.
+    """
+    if values.dtype is not _COMPLEX:
+        values = values.astype(np.complex128)
+    values.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, (first, values)))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -87,7 +113,7 @@ class ComplexImage:
             return NotImplemented
         if other.shape != self.shape:
             raise DimensionMismatch(f"grid mismatch: {self.shape} vs {other.shape}")
-        return ComplexImage(self.shape, op(self.values, other.values))
+        return _fresh(ComplexImage, self.shape, op(self.values, other.values))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -98,12 +124,12 @@ class ComplexImage:
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return ComplexImage(self.shape, self.values * scalar)
+        return _fresh(ComplexImage, self.shape, self.values * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ComplexImage(self.shape, -self.values)
+        return _fresh(ComplexImage, self.shape, -self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +179,7 @@ class MeasurementVector:
             return NotImplemented
         if not self.mask.matches(other.mask):
             raise DimensionMismatch("measurement vectors live on different masks")
-        return MeasurementVector(self.mask, op(self.values, other.values))
+        return _fresh(MeasurementVector, self.mask, op(self.values, other.values))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -164,7 +190,7 @@ class MeasurementVector:
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return MeasurementVector(self.mask, self.values * scalar)
+        return _fresh(MeasurementVector, self.mask, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -302,8 +328,10 @@ class JointParameter:
             return NotImplemented
         if self.coefficients.shape != other.coefficients.shape:
             raise DimensionMismatch("coefficient blocks differ in shape")
-        return JointParameter(
-            self.image._binary(other.image, op), op(self.coefficients, other.coefficients)
+        return _fresh(
+            JointParameter,
+            self.image._binary(other.image, op),
+            op(self.coefficients, other.coefficients),
         )
 
     def __add__(self, other):
@@ -315,7 +343,7 @@ class JointParameter:
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return JointParameter(self.image * scalar, self.coefficients * scalar)
+        return _fresh(JointParameter, self.image * scalar, self.coefficients * scalar)
 
     __rmul__ = __mul__
 
@@ -351,11 +379,18 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(b.values, a.values))
 
 
+def _l2(values: np.ndarray):
+    # numpy.linalg.norm's own formula for a complex array, without its dispatch.
+    values = values.ravel(order="K")
+    re, im = values.real, values.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
 def norm(a) -> float:
     """Euclidean norm sqrt(Re inner_product(a, a))."""
     if isinstance(a, JointParameter):
-        return float(np.sqrt(np.linalg.norm(a.image.values) ** 2 + np.linalg.norm(a.coefficients) ** 2))
-    return float(np.linalg.norm(a.values))
+        return float(np.sqrt(_l2(a.image.values) ** 2 + _l2(a.coefficients) ** 2))
+    return float(_l2(a.values))
 
 
 def all_finite(a) -> bool:
@@ -370,4 +405,4 @@ def pointwise_multiply(a: ComplexImage, b: ComplexImage) -> ComplexImage:
         raise DimensionMismatch("pointwise_multiply needs two images")
     if a.shape != b.shape:
         raise DimensionMismatch(f"grid mismatch: {a.shape} vs {b.shape}")
-    return ComplexImage(a.shape, a.values * b.values)
+    return _fresh(ComplexImage, a.shape, a.values * b.values)

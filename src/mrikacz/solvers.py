@@ -16,6 +16,7 @@ factor.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,17 @@ def sdk_step_size(apply, s, omega: int) -> float:
     """
     if omega == 0:
         return 1.0
+    return _steepest_descent_step(apply, s, grid.norm(s))
+
+
+def _steepest_descent_step(apply, s, s_norm: float) -> float:
+    """||s||^2 / ||apply(s)||^2 given ``s_norm`` = ||s||."""
     denom = grid.norm(apply(s))
     if denom < _CURVATURE_FLOOR:
         raise SingularStepError(
             "steepest-descent step hit a numerically zero curvature term"
         )
-    ratio = grid.norm(s) / denom
+    ratio = s_norm / denom
     return float(ratio * ratio)
 
 
@@ -186,19 +192,26 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
         for i in range(r_num):
             residual = apply_fn(x, i) - measurements.vectors[i]
             rnorm = grid.norm(residual)
+            if not math.isfinite(rnorm):
+                # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
+                raise NumericalFailure(
+                    f"non-finite residual at step {k} (receiver {i})",
+                    trace=rec.build(None),
+                )
             omega = loping_weight(rnorm, config.tau, deltas[i])
             error = grid.norm(x - reference) if reference is not None else None
             alpha = 1.0
             if omega:
                 cycle_any_active = True
                 s = direction_fn(x, i, residual)
+                s_norm = grid.norm(s)
                 if config.method == METHOD_LSDK:
                     if config.step_size_override is not None:
                         alpha = config.step_size_override
                     else:
-                        alpha = sdk_step_size(stepmap_fn(x, i), s, omega)
+                        alpha = _steepest_descent_step(stepmap_fn(x, i), s, s_norm)
                 x = x - alpha * s
-                cycle_max_update = max(cycle_max_update, alpha * grid.norm(s))
+                cycle_max_update = max(cycle_max_update, alpha * s_norm)
             rec.add(k, i, omega, alpha, rnorm, error)
             if omega and not grid.all_finite(x):
                 raise NumericalFailure(

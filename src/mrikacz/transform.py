@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .grid import ComplexImage, KSpaceMask, MeasurementVector
+from .grid import ComplexImage, KSpaceMask, MeasurementVector, _fresh
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +50,12 @@ class DftPlan:
 
 def dft_forward(plan: DftPlan, f: ComplexImage) -> ComplexImage:
     """Unnormalized forward transform of the flattened image."""
-    return ComplexImage(f.shape, plan.forward_values(f.values))
+    return _fresh(ComplexImage, f.shape, plan.forward_values(f.values))
 
 
 def dft_adjoint(plan: DftPlan, g: ComplexImage) -> ComplexImage:
     """Adjoint transform; adjoint(forward(f)) == p_num * f."""
-    return ComplexImage(g.shape, plan.adjoint_values(g.values))
+    return _fresh(ComplexImage, g.shape, plan.adjoint_values(g.values))
 
 
 def dft_inverse(plan: DftPlan, g: ComplexImage) -> ComplexImage:
@@ -67,7 +67,7 @@ def project(mask: KSpaceMask, f: ComplexImage) -> MeasurementVector:
     """Restrict an image to the masked k-space positions."""
     if f.shape != mask.shape:
         raise DimensionMismatch(f"grid mismatch: {f.shape} vs {mask.shape}")
-    return MeasurementVector(mask, f.values[mask.indices])
+    return _fresh(MeasurementVector, mask, f.values[mask.indices])
 
 
 def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:
@@ -76,4 +76,4 @@ def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:
         raise DimensionMismatch("measurement vector does not live on this mask")
     out = np.zeros(mask.shape.p_num, dtype=np.complex128)
     out[mask.indices] = g.values
-    return ComplexImage(mask.shape, out)
+    return _fresh(ComplexImage, mask.shape, out)

@@ -3,15 +3,18 @@
 ``perfbench/tracer.py`` wraps functions by (owner, attribute) and restores
 each owner's own ``__dict__`` entry on exit.  A refactor that moves, renames
 or inherits one of them would break ``--trace 1`` benchmark runs without
-failing any other test.
+failing any other test; one that calls around a patched name would make the
+traced counts silently incomparable between versions.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrikacz as mk
 from mrikacz.transform import DftPlan
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -44,3 +47,43 @@ def test_tracer_patches_and_restores_every_attribute(tracer):
     assert len(patched) == len(before)
     assert [active.names[i] for i in active.name] == ["transform.plan", "transform.forward"]
     assert all(owner.__dict__[attr] is original for (owner, attr), original in before.items())
+
+
+@pytest.fixture(scope="module")
+def small_instance():
+    return mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21))
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["linear", "joint"])
+def test_traced_counts_follow_the_step_formulas(tracer, small_instance, joint):
+    """Every transform, operator call and norm of an lsdk solve goes through a traced name.
+
+    Per step: one residual (``apply``, one forward transform, one norm).  Per
+    active step: one direction (one adjoint transform), its norm, and the
+    step-size map applied to it (one forward transform, one norm).  Before
+    the first step: one residual per receiver.
+    """
+    config = mk.SolverConfig(method="lsdk", max_cycles=20)
+    with tracer.Tracer() as active:
+        if joint:
+            result = mk.run_joint(small_instance.joint_problem(), config)
+        else:
+            result = mk.run_linear(small_instance.linear_problem(), config)
+    spans = Counter(active.names[i] for i in active.name)
+    counts = {name: c for (_, name), c in active.counts.items()}
+    r_num, n_steps = result.trace.r_num, result.trace.n_steps
+    n_active = int(result.trace.omegas.sum())
+    assert 0 < n_active < n_steps
+    assert spans["transform.forward"] == r_num + n_steps + n_active
+    assert spans["transform.adjoint"] == n_active
+    assert counts["grid.norm"] == r_num + n_steps + 2 * n_active
+    if joint:
+        assert spans["operators.apply"] == r_num + n_steps
+        assert spans["operators.joint_derivative"] == n_active
+        assert spans["operators.joint_adjoint_derivative"] == n_active
+        assert spans["operators.adjoint"] == 0
+    else:
+        # The linear step-size map is the operator itself.
+        assert spans["operators.apply"] == r_num + n_steps + n_active
+        assert spans["operators.adjoint"] == n_active
+        assert spans["operators.joint_derivative"] == 0

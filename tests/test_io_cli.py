@@ -297,6 +297,21 @@ class TestReconstructCommand:
             tmp_path / "rec2" / "result.csv"
         )
 
+    @pytest.mark.parametrize("joint", [False, True], ids=["linear", "joint"])
+    def test_non_finite_residual_is_numerical_failure(self, tmp_path, generated, capsys, joint):
+        values = io.read_complex_csv(generated / "ground_truth.csv")
+        values[5] = np.nan
+        io.write_complex_csv(tmp_path / "nan.csv", values)
+        run = write_run_config(
+            tmp_path / "run.json", generated, tmp_path / "rec", initial_image=str(tmp_path / "nan.csv")
+        )
+        argv = ["reconstruct", "--config", str(run)] + (["--joint"] if joint else [])
+        assert main(argv) == 3
+        assert "non-finite residual at step 0 (receiver 0)" in capsys.readouterr().err
+        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        assert summary["termination_reason"] == "numerical-failure"
+        assert (tmp_path / "rec" / "trace.csv").read_text().count("\n") == 1
+
     def test_joint_flag_writes_coefficients(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         rc = main(["reconstruct", "--config", str(run), "--joint", "--max-cycles", "20"])

@@ -120,6 +120,22 @@ class TestRunLinear:
         tr = result.trace
         np.testing.assert_array_equal(tr.omegas, (tr.residuals > 2.1 * delta).astype(int))
 
+    def test_llk_check_reads_the_norms_rescaling_measured(self, monkeypatch):
+        problem, _ = unit_problem([1, 1j, -1, -1j], deltas=(0.1,), noise_seed=7)
+        scaled, report = mk.rescale_problem(problem)
+        calls = []
+        original = mk.operators.estimate_norm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mk.operators, "estimate_norm", counted)
+        result = mk.run_linear(scaled, mk.SolverConfig(method="llk"))
+        assert calls == []
+        assert result.reason == mk.STOPPING_RULE
+        assert [op.estimated_norm for op in scaled.operators] == list(report.post_norms)
+
     def test_llk_rejects_unscaled_operators(self):
         problem, _ = unit_problem([1, 1j, -1, -1j], deltas=(0.1,), noise_seed=7)
         with pytest.raises(ConfigurationError):
