@@ -48,8 +48,10 @@ def _fresh(cls, first, values):
     if values.dtype is not _COMPLEX:
         values = values.astype(np.complex128)
     values.setflags(write=False)
+    first_name, values_name = cls.__dataclass_fields__  # exactly two fields
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, (first, values)))
+    obj.__dict__[first_name] = first
+    obj.__dict__[values_name] = values
     return obj
 
 
@@ -379,18 +381,11 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(b.values, a.values))
 
 
-def _l2(values: np.ndarray):
-    # numpy.linalg.norm's own formula for a complex array, without its dispatch.
-    values = values.ravel(order="K")
-    re, im = values.real, values.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
-
-
 def norm(a) -> float:
     """Euclidean norm sqrt(Re inner_product(a, a))."""
     if isinstance(a, JointParameter):
-        return float(np.sqrt(_l2(a.image.values) ** 2 + _l2(a.coefficients) ** 2))
-    return float(_l2(a.values))
+        return float(np.sqrt(np.linalg.norm(a.image.values) ** 2 + np.linalg.norm(a.coefficients) ** 2))
+    return float(np.linalg.norm(a.values))
 
 
 def all_finite(a) -> bool:

@@ -30,7 +30,7 @@ from .grid import (
     _fresh,
     combine_basis,
 )
-from .transform import DftPlan, dft_adjoint, dft_forward, embed, project
+from .transform import DftPlan, embed
 
 # Defaults for the seeded power iteration (deterministic norm estimates).
 NORM_SEED = 1905
@@ -38,6 +38,14 @@ NORM_MAX_ITER = 1000
 NORM_RTOL = 1e-6
 
 _DENOM_FLOOR = 1e-14
+
+
+def _measure(
+    plan: DftPlan, mask: KSpaceMask, scale: float, weighted: np.ndarray
+) -> MeasurementVector:
+    """scale * restrict(F weighted) for a flat pixel array ``weighted``."""
+    spectrum = plan.forward_values(weighted)
+    return _fresh(MeasurementVector, mask, spectrum[mask.indices] * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,22 +71,21 @@ class LinearForward:
         return self.model.materialize(self.receiver)
 
     @cached_property
-    def _conj_sensitivity(self) -> ComplexImage:
-        return ComplexImage(self.model.grid, np.conj(self.sensitivity.values))
+    def _conj_sensitivity(self) -> np.ndarray:
+        return np.conj(self.sensitivity.values)
 
     def apply(self, image: ComplexImage) -> MeasurementVector:
         if image.shape != self.model.grid:
             raise DimensionMismatch("image grid does not match the operator")
-        weighted = grid.pointwise_multiply(image, self.sensitivity)
-        return project(self.mask, dft_forward(self.plan, weighted)) * self.scale
+        return _measure(self.plan, self.mask, self.scale, image.values * self.sensitivity.values)
 
     __call__ = apply
 
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
         if not data.mask.matches(self.mask):
             raise DimensionMismatch("measurement vector does not live on the operator mask")
-        back = dft_adjoint(self.plan, embed(self.mask, data))
-        return grid.pointwise_multiply(self._conj_sensitivity, back) * self.scale
+        back = self.plan.adjoint_values(embed(self.mask, data).values)
+        return _fresh(ComplexImage, self.model.grid, self._conj_sensitivity * back * self.scale)
 
     def with_scale(self, scale: float) -> "LinearForward":
         return LinearForward(self.model, self.mask, self.plan, self.receiver, float(scale))
@@ -142,14 +149,9 @@ class JointForward:
         """This receiver's sensitivity at ``x`` as a flat pixel array."""
         return combine_basis(self.basis_matrix, x.coefficients[self.receiver])
 
-    def _measure(self, weighted: np.ndarray) -> MeasurementVector:
-        """scale * restrict(F weighted) for a flat pixel array."""
-        spectrum = self.plan.forward_values(weighted)
-        return _fresh(MeasurementVector, self.mask, spectrum[self.mask.indices] * self.scale)
-
     def apply(self, x: JointParameter) -> MeasurementVector:
         self._check_point(x)
-        return self._measure(x.image.values * self._sensitivity(x))
+        return _measure(self.plan, self.mask, self.scale, x.image.values * self._sensitivity(x))
 
     __call__ = apply
 
@@ -159,7 +161,7 @@ class JointForward:
         self._check_point(dx)
         term_image = dx.image.values * self._sensitivity(x)
         term_coeff = x.image.values * self._sensitivity(dx)
-        return self._measure(term_image + term_coeff)
+        return _measure(self.plan, self.mask, self.scale, term_image + term_coeff)
 
     def adjoint_derivative(self, x: JointParameter, data: MeasurementVector) -> JointParameter:
         """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
@@ -259,15 +261,17 @@ class ScalingReport:
         }
 
 
-def rescale_to_unit(ops, seed: int = NORM_SEED) -> tuple[tuple[LinearForward, ...], ScalingReport]:
+def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
     """Scale every operator so its estimated norm is <= 1.
 
     Returns the rescaled operators and a report.  Callers must apply the
     same factors to the matching data and noise levels; use
-    :func:`rescale_problem` to do the whole instance atomically.
+    :func:`rescale_problem` to do the whole instance atomically.  Both
+    norms are each operator's own :attr:`LinearForward.estimated_norm`, so
+    the rescaled operators carry the norm that the llk check reads.
     """
     ops = tuple(ops)
-    pre = np.array([estimate_norm(op, seed=seed) for op in ops])
+    pre = np.array([op.estimated_norm for op in ops])
     scales = np.ones(len(ops))
     zero = []
     for i, nrm in enumerate(pre):
@@ -276,10 +280,7 @@ def rescale_to_unit(ops, seed: int = NORM_SEED) -> tuple[tuple[LinearForward, ..
         else:
             scales[i] = 1.0 / (nrm * (1.0 + 1e-9))
     new_ops = tuple(op.with_scale(op.scale * c) for op, c in zip(ops, scales))
-    # At the default seed, fill each operator's own cache, which the llk check reads.
-    post = np.array(
-        [op.estimated_norm if seed == NORM_SEED else estimate_norm(op, seed=seed) for op in new_ops]
-    )
+    post = np.array([op.estimated_norm for op in new_ops])
     return new_ops, ScalingReport(pre, scales, post, tuple(zero))
 
 
@@ -329,13 +330,13 @@ class JointProblem:
         return len(self.operators)
 
 
-def rescale_problem(problem: LinearProblem, seed: int = NORM_SEED) -> tuple[LinearProblem, ScalingReport]:
+def rescale_problem(problem: LinearProblem) -> tuple[LinearProblem, ScalingReport]:
     """Rescale operators, data and noise levels by one factor per receiver.
 
     Scaling both sides of every equation leaves the solution set unchanged
     while making the unit-norm hypothesis of the Landweber-type step hold.
     """
-    new_ops, report = rescale_to_unit(problem.operators, seed=seed)
+    new_ops, report = rescale_to_unit(problem.operators)
     new_measurements = problem.measurements.scaled(report.scales)
     return LinearProblem(new_ops, new_measurements), report
 

@@ -75,6 +75,7 @@ def library_results():
         ("image-", f - g, [f, g]),
         ("image*scalar", f * 2.0, [f]),
         ("scalar*image", (1 - 2j) * f, [f]),
+        ("image*clongdouble", f * np.clongdouble(2), [f]),
         ("-image", -f, [f]),
         ("measurement+", u + v, [u, v]),
         ("measurement-", u - v, [u, v]),
