@@ -16,7 +16,7 @@ noise_sets = mk.noise_sequence(instance, base_fraction=0.1, count=5, seed=17)
 
 print("level   fraction    k*     cycles   error to truth")
 for m, noisy in enumerate(noise_sets):
-    problem, _ = mk.rescale_problem(mk.LinearProblem(instance.operators, noisy))
+    problem, _ = mk.rescale_problem(mk.Problem(instance.operators, noisy))
     result = mk.run_linear(problem, mk.SolverConfig(method="lsdk"))
     err = mk.norm(result.final - truth)
     print(

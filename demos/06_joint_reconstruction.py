@@ -12,16 +12,16 @@ import mrikacz as mk
 
 # Scene 1: image correct, per-receiver scalars wrong by 2x and 4x.
 shape = mk.GridShape(2, 2)
-basis = (mk.ComplexImage.constant(shape, 1.0),)
+model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), np.ones((2, 1)))
 mask = mk.KSpaceMask(shape, np.arange(4))
-ops = tuple(mk.JointForward(basis, mask, mk.DftPlan(4), i) for i in range(2))
+ops = tuple(mk.JointForward(model, mask, mk.DftPlan(4), i) for i in range(2))
 truth = mk.JointParameter(mk.ComplexImage.constant(shape, 1.0), [[1.0], [2.0]])
 data = mk.MeasurementSet(tuple(op.apply(truth) for op in ops), np.zeros(2))
 config = mk.SolverConfig(
     method="lsdk", max_cycles=50, exact_data_rtol=0.0,
     initial_image=truth.image, initial_coefficients=[[0.5], [0.5]],
 )
-result = mk.run_joint(mk.JointProblem(ops, data), config)
+result = mk.run_joint(mk.Problem(ops, data), config)
 per_cycle = result.trace.residuals.reshape(-1, 2).max(axis=1)
 print("2x2 scene:", result.metadata["guarantee"])
 print("  residual per cycle:", np.array2string(per_cycle[:8], precision=5), "...")

@@ -26,7 +26,6 @@ from .grid import (
     all_finite,
     inner_product,
     norm,
-    pointwise_multiply,
 )
 from .transform import (
     DftPlan,
@@ -39,9 +38,8 @@ from .transform import (
 from .operators import (
     ConeProbeReport,
     JointForward,
-    JointProblem,
     LinearForward,
-    LinearProblem,
+    Problem,
     ScalarProductModel,
     ScalingReport,
     cone_probe,

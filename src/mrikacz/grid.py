@@ -9,9 +9,9 @@ read-only), so instances can be shared freely across threads.
 
 The public constructors validate their input and copy it, so a caller's
 array can change afterwards without changing the value.  Results the
-library computes itself (arithmetic, products, transforms, restrictions and
-operator outputs) wrap a freshly allocated array, marked read-only, that
-shares memory with none of the operands.
+library computes itself (arithmetic, transforms, restrictions and operator
+outputs) wrap a freshly allocated array, marked read-only, that shares
+memory with none of the operands.
 """
 
 from __future__ import annotations
@@ -392,12 +392,3 @@ def all_finite(a) -> bool:
     if isinstance(a, JointParameter):
         return bool(np.isfinite(a.image.values).all() and np.isfinite(a.coefficients).all())
     return bool(np.isfinite(a.values).all())
-
-
-def pointwise_multiply(a: ComplexImage, b: ComplexImage) -> ComplexImage:
-    """Pixel-by-pixel product of two images on the same grid."""
-    if not (isinstance(a, ComplexImage) and isinstance(b, ComplexImage)):
-        raise DimensionMismatch("pointwise_multiply needs two images")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"grid mismatch: {a.shape} vs {b.shape}")
-    return _fresh(ComplexImage, a.shape, a.values * b.values)

@@ -13,7 +13,7 @@ are pinned by dot-product tests rather than trusted symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,9 +48,19 @@ def _measure(
     return _fresh(MeasurementVector, mask, spectrum[mask.indices] * scale)
 
 
+def _back(plan: DftPlan, mask: KSpaceMask, data: MeasurementVector) -> np.ndarray:
+    """F* embed(data) as a flat pixel array; ``embed`` checks the mask."""
+    return plan.adjoint_values(embed(mask, data).values)
+
+
 @dataclass(frozen=True, eq=False)
-class LinearForward:
-    """Known-sensitivity forward operator of one receiver."""
+class _ReceiverOperator:
+    """Receiver ``receiver`` of a sensitivity model, seen through a mask and a plan.
+
+    ``LinearForward`` holds the model's coefficients fixed; ``JointForward``
+    takes them as part of its argument and reads ``model.coefficients`` only
+    for the shape of the coefficient block.
+    """
 
     model: SensitivityModel
     mask: KSpaceMask
@@ -65,6 +75,13 @@ class LinearForward:
             raise DimensionMismatch("mask and sensitivity basis live on different grids")
         if self.plan.p_num != self.model.grid.p_num:
             raise DimensionMismatch("transform plan length does not match the grid")
+
+    def with_scale(self, scale: float):
+        return replace(self, scale=float(scale))
+
+
+class LinearForward(_ReceiverOperator):
+    """Known-sensitivity forward operator of one receiver."""
 
     @cached_property
     def sensitivity(self) -> ComplexImage:
@@ -82,13 +99,8 @@ class LinearForward:
     __call__ = apply
 
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
-        if not data.mask.matches(self.mask):
-            raise DimensionMismatch("measurement vector does not live on the operator mask")
-        back = self.plan.adjoint_values(embed(self.mask, data).values)
+        back = _back(self.plan, self.mask, data)
         return _fresh(ComplexImage, self.model.grid, self._conj_sensitivity * back * self.scale)
-
-    def with_scale(self, scale: float) -> "LinearForward":
-        return LinearForward(self.model, self.mask, self.plan, self.receiver, float(scale))
 
     @cached_property
     def estimated_norm(self) -> float:
@@ -96,58 +108,21 @@ class LinearForward:
         return estimate_norm(self)
 
 
-@dataclass(frozen=True, eq=False)
-class JointForward:
+class JointForward(_ReceiverOperator):
     """Parameter-to-data operator of one receiver on (image, coefficients)."""
 
-    basis: tuple[ComplexImage, ...]
-    mask: KSpaceMask
-    plan: DftPlan
-    receiver: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        if not basis:
-            raise ValueError("at least one basis image required")
-        for b in basis[1:]:
-            if b.shape != basis[0].shape:
-                raise DimensionMismatch("all basis images must share one grid")
-        if self.mask.shape != basis[0].shape:
-            raise DimensionMismatch("mask and basis live on different grids")
-        if self.plan.p_num != basis[0].shape.p_num:
-            raise DimensionMismatch("transform plan length does not match the grid")
-        if self.receiver < 0:
-            raise IndexError("receiver index must be >= 0")
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def grid_shape(self):
-        return self.basis[0].shape
-
-    @property
-    def b_num(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def basis_matrix(self) -> np.ndarray:
-        mat = np.stack([b.values for b in self.basis])
-        mat.flags.writeable = False
-        return mat
-
     def _check_point(self, x: JointParameter):
-        if x.image.shape != self.grid_shape:
+        if x.image.shape != self.model.grid:
             raise DimensionMismatch("parameter image grid does not match the operator")
-        r_num, b_num = x.coefficients.shape
-        if b_num != self.b_num or self.receiver >= r_num:
+        if x.coefficients.shape != self.model.coefficients.shape:
             raise DimensionMismatch(
-                f"coefficient block {x.coefficients.shape} incompatible with "
-                f"receiver {self.receiver} and b_num {self.b_num}"
+                f"coefficient block {x.coefficients.shape} does not match "
+                f"the model's {self.model.coefficients.shape}"
             )
 
     def _sensitivity(self, x: JointParameter) -> np.ndarray:
         """This receiver's sensitivity at ``x`` as a flat pixel array."""
-        return combine_basis(self.basis_matrix, x.coefficients[self.receiver])
+        return combine_basis(self.model.basis_matrix, x.coefficients[self.receiver])
 
     def apply(self, x: JointParameter) -> MeasurementVector:
         self._check_point(x)
@@ -166,24 +141,19 @@ class JointForward:
     def adjoint_derivative(self, x: JointParameter, data: MeasurementVector) -> JointParameter:
         """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
         self._check_point(x)
-        if not data.mask.matches(self.mask):
-            raise DimensionMismatch("measurement vector does not live on the operator mask")
-        back = self.plan.adjoint_values(embed(self.mask, data).values)
+        back = _back(self.plan, self.mask, data)
         image_part = np.conj(self._sensitivity(x)) * back * self.scale
         # <data, P F (x * basis_n)> = <F* P* data, x * basis_n>: reuse ``back``.
         coeff_part = np.zeros_like(x.coefficients)
-        coeff_part[self.receiver] = self.scale * (np.conj(self.basis_matrix * x.image.values) @ back)
-        return _fresh(JointParameter, _fresh(ComplexImage, self.grid_shape, image_part), coeff_part)
-
-    def frozen(self, coefficients: np.ndarray) -> LinearForward:
-        """The linear operator obtained by fixing the coefficient block."""
-        model = SensitivityModel(self.basis, coefficients)
-        return LinearForward(model, self.mask, self.plan, self.receiver, self.scale)
+        coeff_part[self.receiver] = self.scale * (
+            np.conj(self.model.basis_matrix * x.image.values) @ back
+        )
+        return _fresh(JointParameter, _fresh(ComplexImage, self.model.grid, image_part), coeff_part)
 
 
 def joint_from_linear(op: LinearForward) -> JointForward:
-    """Joint-space view of a linear operator (same basis, mask and scale)."""
-    return JointForward(op.model.basis, op.mask, op.plan, op.receiver, op.scale)
+    """Joint-space view of a linear operator (same model, mask, plan and scale)."""
+    return JointForward(op.model, op.mask, op.plan, op.receiver, op.scale)
 
 
 def estimate_norm(
@@ -285,10 +255,14 @@ def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearProblem:
-    """One linear reconstruction instance: operators plus measured data."""
+class Problem:
+    """One reconstruction instance: one operator per receiver plus measured data.
 
-    operators: tuple[LinearForward, ...]
+    The operators are all :class:`LinearForward` (for ``run_linear``) or all
+    :class:`JointForward` (for ``run_joint``).
+    """
+
+    operators: tuple
     measurements: MeasurementSet
 
     def __post_init__(self):
@@ -307,30 +281,7 @@ class LinearProblem:
         return len(self.operators)
 
 
-@dataclass(frozen=True, eq=False)
-class JointProblem:
-    """One joint reconstruction instance: joint operators plus measured data."""
-
-    operators: tuple[JointForward, ...]
-    measurements: MeasurementSet
-
-    def __post_init__(self):
-        ops = tuple(self.operators)
-        if len(ops) != self.measurements.r_num:
-            raise DimensionMismatch(
-                f"{len(ops)} operators for {self.measurements.r_num} receivers"
-            )
-        for op in ops:
-            if not op.mask.matches(self.measurements.mask):
-                raise DimensionMismatch("operator and data masks differ")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def r_num(self) -> int:
-        return len(self.operators)
-
-
-def rescale_problem(problem: LinearProblem) -> tuple[LinearProblem, ScalingReport]:
+def rescale_problem(problem: Problem) -> tuple[Problem, ScalingReport]:
     """Rescale operators, data and noise levels by one factor per receiver.
 
     Scaling both sides of every equation leaves the solution set unchanged
@@ -338,7 +289,7 @@ def rescale_problem(problem: LinearProblem) -> tuple[LinearProblem, ScalingRepor
     """
     new_ops, report = rescale_to_unit(problem.operators)
     new_measurements = problem.measurements.scaled(report.scales)
-    return LinearProblem(new_ops, new_measurements), report
+    return Problem(new_ops, new_measurements), report
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .grid import (
     MeasurementVector,
     SensitivityModel,
 )
-from .operators import LinearForward, LinearProblem, JointForward, JointProblem
+from .operators import LinearForward, Problem, joint_from_linear
 from .transform import DftPlan
 
 PHANTOM_FAMILIES = ("constant", "checker", "blobs")
@@ -222,15 +222,11 @@ class Instance:
     def plan(self):
         return self.operators[0].plan
 
-    def linear_problem(self) -> LinearProblem:
-        return LinearProblem(self.operators, self.measurements)
+    def linear_problem(self) -> Problem:
+        return Problem(self.operators, self.measurements)
 
-    def joint_problem(self) -> JointProblem:
-        ops = tuple(
-            JointForward(self.model.basis, self.mask, op.plan, op.receiver, op.scale)
-            for op in self.operators
-        )
-        return JointProblem(ops, self.measurements)
+    def joint_problem(self) -> Problem:
+        return Problem(tuple(map(joint_from_linear, self.operators)), self.measurements)
 
 
 def calibrated_noise(exact: MeasurementSet, deltas, seed=0) -> MeasurementSet:

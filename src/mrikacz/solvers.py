@@ -15,7 +15,6 @@ factor.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,9 +23,7 @@ import numpy as np
 from . import grid
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from .grid import ComplexImage, JointParameter
-from .operators import JointProblem, LinearProblem, estimate_derivative_norm
-
-logger = logging.getLogger(__name__)
+from .operators import Problem, estimate_derivative_norm
 
 METHOD_LLK = "llk"
 METHOD_LSDK = "lsdk"
@@ -47,21 +44,13 @@ def loping_weight(residual_norm: float, tau: float, delta_i: float) -> int:
     return 1 if residual_norm > tau * delta_i else 0
 
 
-def sdk_step_size(apply, s, omega: int) -> float:
-    """Steepest-descent step ||s||^2 / ||apply(s)||^2 for an active step.
+def sdk_step_size(apply, s, s_norm: float) -> float:
+    """Steepest-descent step ||s||^2 / ||apply(s)||^2, given ``s_norm`` = ||s||.
 
     ``apply`` maps the parameter space into data space (the operator itself
     in the linear case, the derivative at the current iterate in the joint
-    case).  Loped steps (omega == 0) return 1.0; the value is never used
-    because the update is multiplied by omega.
+    case).
     """
-    if omega == 0:
-        return 1.0
-    return _steepest_descent_step(apply, s, grid.norm(s))
-
-
-def _steepest_descent_step(apply, s, s_norm: float) -> float:
-    """||s||^2 / ||apply(s)||^2 given ``s_norm`` = ||s||."""
     denom = grid.norm(apply(s))
     if denom < _CURVATURE_FLOOR:
         raise SingularStepError(
@@ -90,7 +79,6 @@ class SolverConfig:
     eps_stop: float = 0.0
     exact_data_rtol: float = 1e-10
     step_size_override: float | None = None
-    log_every_cycles: int = 0
 
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
@@ -209,7 +197,7 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
                     if config.step_size_override is not None:
                         alpha = config.step_size_override
                     else:
-                        alpha = _steepest_descent_step(stepmap_fn(x, i), s, s_norm)
+                        alpha = sdk_step_size(stepmap_fn(x, i), s, s_norm)
                 x = x - alpha * s
                 cycle_max_update = max(cycle_max_update, alpha * s_norm)
             rec.add(k, i, omega, alpha, rnorm, error)
@@ -220,8 +208,6 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
                 )
             cycle_max_residual = max(cycle_max_residual, rnorm)
             k += 1
-        if config.log_every_cycles and cycle % config.log_every_cycles == 0:
-            logger.info("cycle %d: max residual %.3e", cycle, cycle_max_residual)
         if config.eps_stop == 0.0:
             stopped = not cycle_any_active
         else:
@@ -236,7 +222,7 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
     return SolveResult(final=x, trace=rec.build(k_star), reason=reason, metadata=metadata)
 
 
-def run_linear(problem: LinearProblem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
+def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
     """Reconstruct the image with known sensitivities.
 
     For ``method="llk"`` every operator must have been rescaled to estimated
@@ -270,7 +256,7 @@ def run_linear(problem: LinearProblem, config: SolverConfig = SolverConfig(), re
     )
 
 
-def run_joint(problem: JointProblem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
+def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
     """Jointly update image and sensitivity coefficients.
 
     Same loping and stopping mechanics as the linear run, with the adjoint
@@ -282,14 +268,13 @@ def run_joint(problem: JointProblem, config: SolverConfig = SolverConfig(), refe
     map).
     """
     ops = problem.operators
-    b_num = ops[0].b_num
-    r_num = problem.r_num
+    model = ops[0].model
     image0 = config.initial_image
     if image0 is None:
-        image0 = ComplexImage.zero(ops[0].grid_shape)
+        image0 = ComplexImage.zero(model.grid)
     coeff0 = config.initial_coefficients
     if coeff0 is None:
-        coeff0 = np.zeros((r_num, b_num), dtype=np.complex128)
+        coeff0 = np.zeros((problem.r_num, model.b_num), dtype=np.complex128)
         coeff0[:, 0] = 1.0
     x0 = JointParameter(image0, coeff0)
     if config.method == METHOD_LLK:

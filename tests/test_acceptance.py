@@ -241,7 +241,7 @@ def test_c07_stability_under_vanishing_noise():
     for method in ("llk", "lsdk"):
         errs = []
         for noisy in sets:
-            problem, _ = mk.rescale_problem(mk.LinearProblem(inst.operators, noisy))
+            problem, _ = mk.rescale_problem(mk.Problem(inst.operators, noisy))
             result = mk.run_linear(problem, mk.SolverConfig(method=method))
             ok &= result.reason == mk.STOPPING_RULE
             errs.append(mk.norm(result.final - inst.truth.image))
@@ -268,7 +268,7 @@ def test_c08_unit_norm_scaling_hypothesis(instance32):
     )
     rejected = False
     try:
-        mk.run_linear(mk.LinearProblem((op,), data), mk.SolverConfig(method="llk"))
+        mk.run_linear(mk.Problem((op,), data), mk.SolverConfig(method="llk"))
     except ConfigurationError:
         rejected = True
     _verdict(
@@ -299,17 +299,17 @@ def test_c09_cone_condition_dichotomy(instance32):
 
 def test_c10_joint_iteration_smoke():
     shape = mk.GridShape(2, 2)
-    basis = (mk.ComplexImage.constant(shape, 1.0),)
+    model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), np.ones((2, 1)))
     mask = mk.KSpaceMask(shape, np.arange(4))
     plan = mk.DftPlan(4)
-    ops = tuple(mk.JointForward(basis, mask, plan, i) for i in range(2))
+    ops = tuple(mk.JointForward(model, mask, plan, i) for i in range(2))
     truth = mk.JointParameter(mk.ComplexImage.constant(shape, 1.0), [[1.0], [2.0]])
     data = mk.MeasurementSet(tuple(op.apply(truth) for op in ops), np.zeros(2))
     config = mk.SolverConfig(
         method="lsdk", max_cycles=50, exact_data_rtol=0.0,
         initial_image=truth.image, initial_coefficients=[[0.5], [0.5]],
     )
-    result = mk.run_joint(mk.JointProblem(ops, data), config)
+    result = mk.run_joint(mk.Problem(ops, data), config)
     per_cycle = result.trace.residuals.reshape(-1, 2).max(axis=1)
     ok = bool(np.all(np.diff(per_cycle) <= 1e-12 * per_cycle[0]))
     # exact data is attainable with the image frozen at truth, so the

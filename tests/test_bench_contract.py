@@ -58,17 +58,15 @@ def small_instance():
 def test_traced_counts_follow_the_step_formulas(tracer, small_instance, joint):
     """Every transform, operator call and norm of an lsdk solve goes through a traced name.
 
-    Per step: one residual (``apply``, one forward transform, one norm).  Per
-    active step: one direction (one adjoint transform), its norm, and the
-    step-size map applied to it (one forward transform, one norm).  Before
-    the first step: one residual per receiver.
+    Per step: one residual (``apply``, one forward transform, one norm, one
+    mask check).  Per active step: one direction (one adjoint transform, one
+    mask check), its norm, and the step-size map applied to it (one forward
+    transform, one norm).  Before the first step: one residual per receiver.
     """
     config = mk.SolverConfig(method="lsdk", max_cycles=20)
+    problem = small_instance.joint_problem() if joint else small_instance.linear_problem()
     with tracer.Tracer() as active:
-        if joint:
-            result = mk.run_joint(small_instance.joint_problem(), config)
-        else:
-            result = mk.run_linear(small_instance.linear_problem(), config)
+        result = (mk.run_joint if joint else mk.run_linear)(problem, config)
     spans = Counter(active.names[i] for i in active.name)
     counts = {name: c for (_, name), c in active.counts.items()}
     r_num, n_steps = result.trace.r_num, result.trace.n_steps
@@ -77,6 +75,7 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, joint):
     assert spans["transform.forward"] == r_num + n_steps + n_active
     assert spans["transform.adjoint"] == n_active
     assert counts["grid.norm"] == r_num + n_steps + 2 * n_active
+    assert spans["grid.mask_matches"] == r_num + n_steps + n_active
     if joint:
         assert spans["operators.apply"] == r_num + n_steps
         assert spans["operators.joint_derivative"] == n_active

@@ -109,42 +109,6 @@ class TestInnerProduct:
         assert ab == pytest.approx(np.conj(mk.inner_product(b, a)), abs=1e-9)
 
 
-class TestPointwiseMultiply:
-    def test_identity_and_absorbing(self):
-        b = image([2, 3j, -1, 5])
-        ones = image([1, 1, 1, 1])
-        zeros = image([0, 0, 0, 0])
-        np.testing.assert_array_equal(mk.pointwise_multiply(ones, b).values, b.values)
-        np.testing.assert_array_equal(mk.pointwise_multiply(zeros, b).values, zeros.values)
-
-    def test_elementwise_squaring(self):
-        a = image([1, 1j, -1, -1j])
-        np.testing.assert_array_equal(mk.pointwise_multiply(a, a).values, [1, -1, 1, -1])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mk.pointwise_multiply(image([1]), image([1, 2]))
-
-    @settings(max_examples=40)
-    @given(complex_lists)
-    def test_commutative_and_associative(self, vals):
-        rng = np.random.default_rng(len(vals))
-        a = image(vals)
-        b = image(rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
-        c = image(rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals)))
-        # Vectorized complex multiplication commutes and reassociates only up
-        # to roundoff (the kernel may contract to FMAs), so allow a few ulps
-        # relative to the term magnitudes, not the possibly cancelled result.
-        scale = np.abs(a.values) * np.abs(b.values) * np.maximum(np.abs(c.values), 1.0)
-        comm = mk.pointwise_multiply(a, b).values - mk.pointwise_multiply(b, a).values
-        assert np.all(np.abs(comm) <= 1e-13 * (scale + 1))
-        assoc = (
-            mk.pointwise_multiply(mk.pointwise_multiply(a, b), c).values
-            - mk.pointwise_multiply(a, mk.pointwise_multiply(b, c)).values
-        )
-        assert np.all(np.abs(assoc) <= 1e-13 * (scale + 1))
-
-
 class TestSensitivityModel:
     def make_two_basis_model(self, coeff):
         shape = mk.GridShape(2, 2)

@@ -69,7 +69,7 @@ def library_results():
     u, v = random_measurement(rng, MASK), random_measurement(rng, MASK)
     x, dx = random_joint(rng, SHAPE, 2, 2), random_joint(rng, SHAPE, 2, 2)
     linear = mk.LinearForward(MODEL, MASK, PLAN, 1, scale=0.5)
-    joint = mk.JointForward(BASIS, MASK, PLAN, 1, scale=0.5)
+    joint = mk.JointForward(MODEL, MASK, PLAN, 1, scale=0.5)
     cases = [
         ("image+", f + g, [f, g]),
         ("image-", f - g, [f, g]),
@@ -83,7 +83,6 @@ def library_results():
         ("joint+", x + dx, [x, dx]),
         ("joint-", x - dx, [x, dx]),
         ("joint*scalar", 0.5 * x, [x]),
-        ("pointwise_multiply", mk.pointwise_multiply(f, g), [f, g]),
         ("project", project(MASK, f), [f]),
         ("embed", embed(MASK, u), [u]),
         ("dft_forward", dft_forward(PLAN, f), [f]),
