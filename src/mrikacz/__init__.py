@@ -68,6 +68,7 @@ from .phantoms import (
     Instance,
     InstanceSpec,
     calibrated_noise,
+    exact_data,
     make_basis,
     make_mask,
     make_phantom,

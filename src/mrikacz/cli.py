@@ -9,6 +9,7 @@ and ``probe-cone`` (sample tangential-cone ratios).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -97,10 +98,34 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _last_finite_residuals(trace) -> list:
+    """Each receiver's last finite residual in ``trace``, or None if it has none."""
+    last = [None] * trace.r_num
+    for i, residual in zip(trace.receivers.tolist(), trace.residuals.tolist()):
+        if math.isfinite(residual):
+            last[i] = residual
+    return last
+
+
 def _write_failure(out, cfg, exc):
-    if exc.trace is not None and cfg.write_trace:
-        io.write_trace_csv(out / "trace.csv", exc.trace)
-    io.write_json(out / "summary.json", {"failure": str(exc), "termination_reason": "numerical-failure"})
+    """Write the partial trace and a summary of how far the run got before ``exc``."""
+    trace = exc.trace
+    summary = {
+        "failure": str(exc),
+        "termination_reason": "numerical-failure",
+        "n_steps": None,
+        "n_cycles": None,
+        "last_finite_residuals": None,
+    }
+    if trace is not None:
+        if cfg.write_trace:
+            io.write_trace_csv(out / "trace.csv", trace)
+        summary.update(
+            n_steps=trace.n_steps,
+            n_cycles=trace.n_cycles,
+            last_finite_residuals=_last_finite_residuals(trace),
+        )
+    io.write_json(out / "summary.json", summary)
 
 
 def cmd_reconstruct(args) -> int:

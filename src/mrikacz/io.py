@@ -40,7 +40,7 @@ from .grid import (
     SensitivityModel,
 )
 from .operators import LinearForward
-from .phantoms import GroundTruth, Instance, InstanceSpec
+from .phantoms import GroundTruth, Instance, InstanceSpec, exact_data
 from .solvers import IterationTrace
 from .transform import DftPlan
 
@@ -332,7 +332,15 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
 
 
 def load_instance(instance_dir) -> Instance:
-    """Rebuild an :class:`Instance` from a directory written by ``write_instance``."""
+    """Rebuild an :class:`Instance` from a directory written by ``write_instance``.
+
+    Reads ``instance.json``, ``ground_truth.csv``, ``mask.csv``,
+    ``coefficients.csv``, ``basis_<n>.csv`` and ``measurements_<i>.csv``.
+    The exact data are derived from the loaded operators and ground truth
+    (:func:`mrikacz.phantoms.exact_data`, as ``synthesize`` makes them);
+    ``measurements_exact_<i>.csv`` is written for reference only and is
+    neither read nor validated here.
+    """
     d = Path(instance_dir)
     payload = read_json(d / "instance.json")
     if "spec" not in payload or "metadata" not in payload:
@@ -362,17 +370,10 @@ def load_instance(instance_dir) -> Instance:
         tuple(read_measurements_csv(d / f"measurements_{i}.csv", mask) for i in range(spec.r_num)),
         deltas,
     )
-    exact = MeasurementSet(
-        tuple(
-            read_measurements_csv(d / f"measurements_exact_{i}.csv", mask)
-            for i in range(spec.r_num)
-        ),
-        np.zeros(spec.r_num),
-    )
     truth = GroundTruth(
         image=image,
         coefficients=coeff,
-        exact=exact,
+        exact=exact_data(operators, image),
         rho=float(meta["rho"]),
         initial_image=ComplexImage.zero(shape),
     )

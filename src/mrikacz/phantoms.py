@@ -249,6 +249,15 @@ def calibrated_noise(exact: MeasurementSet, deltas, seed=0) -> MeasurementSet:
     return MeasurementSet(tuple(vectors), deltas)
 
 
+def exact_data(operators, image: ComplexImage) -> MeasurementSet:
+    """Noise-free data of every receiver: each operator applied to ``image``.
+
+    The one definition of exact data, shared by :func:`synthesize` and
+    :func:`mrikacz.io.load_instance`.
+    """
+    return MeasurementSet(tuple(op.apply(image) for op in operators), np.zeros(len(operators)))
+
+
 def synthesize(spec: InstanceSpec) -> Instance:
     """Build ground truth, operators and noisy data from a spec.
 
@@ -273,12 +282,11 @@ def synthesize(spec: InstanceSpec) -> Instance:
     model = SensitivityModel(basis, coeff)
 
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
-    exact_vectors = tuple(op.apply(image) for op in operators)
-    exact = MeasurementSet(exact_vectors, np.zeros(spec.r_num))
+    exact = exact_data(operators, image)
 
     deltas = np.asarray(spec.deltas, dtype=np.float64)
     if spec.delta_mode == DELTA_RELATIVE:
-        deltas = deltas * np.array([np.linalg.norm(v.values) for v in exact_vectors])
+        deltas = deltas * np.array([np.linalg.norm(v.values) for v in exact.vectors])
     noisy = calibrated_noise(exact, deltas, seed_noise)
 
     initial = ComplexImage.zero(shape)

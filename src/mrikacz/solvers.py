@@ -23,7 +23,7 @@ import numpy as np
 from . import grid
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from .grid import ComplexImage, JointParameter
-from .operators import Problem, estimate_derivative_norm
+from .operators import JointForward, LinearForward, Problem, estimate_derivative_norm
 
 METHOD_LLK = "llk"
 METHOD_LSDK = "lsdk"
@@ -222,6 +222,14 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
     return SolveResult(final=x, trace=rec.build(k_star), reason=reason, metadata=metadata)
 
 
+def _check_family(problem: Problem, family: type, run: str):
+    for i, op in enumerate(problem.operators):
+        if not isinstance(op, family):
+            raise ConfigurationError(
+                f"{run} needs {family.__name__} operators; receiver {i} has {type(op).__name__}"
+            )
+
+
 def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
     """Reconstruct the image with known sensitivities.
 
@@ -230,6 +238,7 @@ def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), referenc
     operators are rejected.  ``reference`` optionally supplies a known
     solution whose distance to the iterate is recorded in the trace.
     """
+    _check_family(problem, LinearForward, "run_linear")
     ops = problem.operators
     if config.method == METHOD_LLK:
         for i, op in enumerate(ops):
@@ -267,6 +276,7 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
     analog of the unit-norm hypothesis that is definable for a nonlinear
     map).
     """
+    _check_family(problem, JointForward, "run_joint")
     ops = problem.operators
     model = ops[0].model
     image0 = config.initial_image

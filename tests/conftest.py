@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own evaluation paths:
 inner products are summed in a Python loop, transforms via the O(n^2)
-definition, and operator matrices are built column by column so adjoints
-can be checked against an explicit conjugate transpose.
+definition, and operator matrices are built from the dense DFT matrix or
+column by column, so adjoints can be checked against an explicit conjugate
+transpose.
 """
 
 import numpy as np
@@ -42,6 +43,17 @@ def dft_matrix(n, rows=None):
     cols = np.arange(n, dtype=np.int64)
     rows = cols if rows is None else np.asarray(rows, dtype=np.int64)
     return table[np.outer(rows, cols) % n]
+
+
+def op_matrix(op):
+    """Dense matrix of a ``LinearForward``: scale * DFT rows at the mask * diag(S_i).
+
+    The sensitivity S_i is summed here from the model's basis images and
+    coefficients, so neither the operator nor the transform is evaluated.
+    """
+    model = op.model
+    sensitivity = sum(c * b.values for c, b in zip(model.coefficients[op.receiver], model.basis))
+    return op.scale * dft_matrix(model.grid.p_num, op.mask.indices) * sensitivity
 
 
 def linear_matrix(apply_fn, dim):

@@ -6,8 +6,8 @@ import pytest
 
 import mrikacz as mk
 from mrikacz import io
-from mrikacz.cli import main
-from mrikacz.errors import FileFormatError
+from mrikacz.cli import RunConfig, _write_failure, main
+from mrikacz.errors import FileFormatError, NumericalFailure
 
 SPEC_8 = {
     "p_hor": 8,
@@ -144,6 +144,22 @@ class TestInstanceRoundTrip:
         for a, b in zip(loaded.model.basis, inst.model.basis):
             np.testing.assert_array_equal(a.values, b.values)
         assert loaded.truth.rho == inst.truth.rho
+
+    @pytest.mark.parametrize("mask_family", ["full", "rows", "random"])
+    @pytest.mark.parametrize("side", [8, 6], ids=["8x8", "6x6"])
+    def test_exact_data_derived_bit_for_bit_without_the_files(self, tmp_path, mask_family, side):
+        spec = mk.InstanceSpec(p_hor=side, p_ver=side, r_num=3, b_num=2, mask_family=mask_family, seed=5)
+        inst = mk.synthesize(spec)
+        io.write_instance(inst, tmp_path)
+        written = []
+        for i in range(spec.r_num):
+            path = tmp_path / f"measurements_exact_{i}.csv"
+            written.append(io.read_measurements_csv(path, inst.mask).values)
+            path.unlink()
+        loaded = io.load_instance(tmp_path)
+        for derived, values in zip(loaded.truth.exact.vectors, written):
+            np.testing.assert_array_equal(derived.values.view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(loaded.truth.exact.deltas, np.zeros(spec.r_num))
 
     @pytest.mark.parametrize("name, edit, line, fragment", CORRUPTIONS)
     def test_corrupt_csv_reports_line(self, tmp_path, name, edit, line, fragment):
@@ -310,7 +326,34 @@ class TestReconstructCommand:
         assert "non-finite residual at step 0 (receiver 0)" in capsys.readouterr().err
         summary = json.load(open(tmp_path / "rec" / "summary.json"))
         assert summary["termination_reason"] == "numerical-failure"
+        assert summary["n_steps"] == 0 and summary["n_cycles"] == 0
+        assert summary["last_finite_residuals"] == [None] * 4
         assert (tmp_path / "rec" / "trace.csv").read_text().count("\n") == 1
+
+    def test_failure_summary_reads_the_partial_trace(self, tmp_path, generated):
+        problem = io.load_instance(generated).linear_problem()
+        config = mk.SolverConfig(step_size_override=1e308, max_cycles=5)
+        with pytest.raises(NumericalFailure) as exc_info, np.errstate(over="ignore", invalid="ignore"):
+            mk.run_linear(problem, config)
+        trace = exc_info.value.trace
+        assert trace.n_steps >= 1
+        _write_failure(tmp_path, RunConfig(instance_dir=str(generated)), exc_info.value)
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert summary["n_steps"] == trace.n_steps
+        assert summary["n_cycles"] == trace.n_cycles
+        expected = [None] * 4
+        for i, residual in zip(trace.receivers, trace.residuals):
+            expected[i] = float(residual)
+        assert summary["last_finite_residuals"] == expected
+
+    def test_corrupt_exact_data_file_changes_no_output(self, tmp_path, generated):
+        run1 = write_run_config(tmp_path / "run1.json", generated, tmp_path / "rec1")
+        run2 = write_run_config(tmp_path / "run2.json", generated, tmp_path / "rec2")
+        assert main(["reconstruct", "--config", str(run1)]) == 0
+        (generated / "measurements_exact_0.csv").write_text("not,a\nmeasurement file\n")
+        assert main(["reconstruct", "--config", str(run2)]) == 0
+        for name in ("trace.csv", "result.csv"):
+            assert read_bytes(tmp_path / "rec1" / name) == read_bytes(tmp_path / "rec2" / name)
 
     def test_joint_flag_writes_coefficients(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")

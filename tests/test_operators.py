@@ -9,6 +9,7 @@ from conftest import (
     joint_pack,
     joint_unpack,
     linear_matrix,
+    op_matrix,
     random_image,
     random_joint,
     random_measurement,
@@ -28,12 +29,6 @@ def two_basis_op(coeff=(1.0, 1.0), scale=1.0):
 
 def unit_joint_op():
     return mk.JointForward(UNIT_MODEL, FULL4, PLAN4, 0)
-
-
-def op_matrix(op):
-    return linear_matrix(
-        lambda v: op.apply(mk.ComplexImage(op.model.grid, v)).values, op.model.grid.p_num
-    )
 
 
 class TestApplyLinear:

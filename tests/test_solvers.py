@@ -4,7 +4,7 @@ import pytest
 import mrikacz as mk
 from mrikacz.errors import ConfigurationError, NumericalFailure, SingularStepError
 
-from conftest import random_image
+from conftest import op_matrix, random_image
 
 SHAPE2 = mk.GridShape(2, 2)
 PLAN4 = mk.DftPlan(4)
@@ -298,3 +298,63 @@ class TestRunJoint:
             for i, op in enumerate(problem.operators)
         )
         assert final <= 0.1 * result.metadata["initial_max_residual"]
+
+
+@pytest.mark.parametrize(
+    "run, build, expected",
+    [(mk.run_linear, "joint_problem", "LinearForward"), (mk.run_joint, "linear_problem", "JointForward")],
+    ids=["linear-run-given-joint-operators", "joint-run-given-linear-operators"],
+)
+def test_run_rejects_the_other_operator_family(default_instance, run, build, expected):
+    with pytest.raises(ConfigurationError, match=f"needs {expected} operators; receiver 0"):
+        run(getattr(default_instance, build)())
+
+
+def dense_replay(problem, config):
+    """The loping Kaczmarz iteration on dense matrices, written from its definition.
+
+    Returns the loping decisions, step sizes and residual norms of every step,
+    and the final iterate, for ``eps_stop`` = 0 and noisy data.
+    """
+    matrices = [op_matrix(op) for op in problem.operators]
+    data = [v.values for v in problem.measurements.vectors]
+    deltas = problem.measurements.deltas
+    x = np.zeros(matrices[0].shape[1], dtype=complex)
+    omegas, alphas, residuals = [], [], []
+    for _ in range(config.max_cycles):
+        any_active = False
+        for a, y, delta in zip(matrices, data, deltas):
+            r = a @ x - y
+            r_norm = np.linalg.norm(r)
+            omega = int(r_norm > config.tau * delta)
+            alpha = 1.0
+            if omega:
+                any_active = True
+                s = a.conj().T @ r
+                if config.method == "lsdk":
+                    alpha = np.linalg.norm(s) ** 2 / np.linalg.norm(a @ s) ** 2
+                x = x - alpha * s
+            omegas.append(omega)
+            alphas.append(alpha)
+            residuals.append(r_norm)
+        if not any_active:
+            break
+    return np.array(omegas), np.array(alphas), np.array(residuals), x
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mask_family", ["random", "rows"])
+@pytest.mark.parametrize("method", ["llk", "lsdk"])
+def test_linear_run_matches_dense_replay(method, mask_family, seed):
+    spec = mk.InstanceSpec(p_hor=16, p_ver=16, mask_family=mask_family, seed=seed)
+    problem = mk.synthesize(spec).linear_problem()
+    if method == "llk":
+        problem, _ = mk.rescale_problem(problem)
+    config = mk.SolverConfig(method=method)
+    result = mk.run_linear(problem, config)
+    assert result.reason == mk.STOPPING_RULE
+    omegas, alphas, residuals, final = dense_replay(problem, config)
+    np.testing.assert_array_equal(result.trace.omegas, omegas)
+    np.testing.assert_allclose(result.trace.alphas, alphas, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.trace.residuals, residuals, rtol=1e-12, atol=0)
+    assert np.linalg.norm(result.final.values - final) <= 1e-12 * np.linalg.norm(final)
