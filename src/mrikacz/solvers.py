@@ -197,7 +197,12 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
                     if config.step_size_override is not None:
                         alpha = config.step_size_override
                     else:
-                        alpha = sdk_step_size(stepmap_fn(x, i), s, s_norm)
+                        try:
+                            alpha = sdk_step_size(stepmap_fn(x, i), s, s_norm)
+                        except SingularStepError as exc:
+                            raise SingularStepError(
+                                f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
+                            ) from None
                 x = x - alpha * s
                 cycle_max_update = max(cycle_max_update, alpha * s_norm)
             rec.add(k, i, omega, alpha, rnorm, error)

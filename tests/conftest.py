@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
+from mrikacz import io
 
 
 def brute_inner(a, b):
@@ -105,3 +106,13 @@ def tiny_unit_op():
     model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), [[1.0]])
     mask = mk.KSpaceMask(shape, np.arange(4))
     return mk.LinearForward(model, mask, mk.DftPlan(4), 0)
+
+
+@pytest.fixture()
+def loadtxt_only(monkeypatch):
+    """Make the CSV reader's per-row path raise, so a table loadtxt declines fails to read."""
+
+    def refuse(path, table, body):
+        raise AssertionError(f"{path} left the loadtxt path")
+
+    monkeypatch.setattr(io, "_per_row_columns", refuse)

@@ -265,7 +265,7 @@ class TestReconstructCommand:
     def test_summary_and_trace_invariants(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", method="lsdk")
         assert main(["reconstruct", "--config", str(run)]) == 0
-        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["termination_reason"] == "stopping-rule"
         assert summary["k_star"] % 4 == 0
         assert summary["discrepancy_ok"]
@@ -286,7 +286,7 @@ class TestReconstructCommand:
     def test_llk_records_scaling_report(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", method="llk")
         assert main(["reconstruct", "--config", str(run)]) == 0
-        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["scaling"] is not None
         assert all(p <= 1 + 1e-6 for p in summary["scaling"]["post_norms"])
 
@@ -298,7 +298,7 @@ class TestReconstructCommand:
             initial_image=str(generated / "ground_truth.csv"),
         )
         assert main(["reconstruct", "--config", str(run)]) == 0
-        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["k_star"] == 0
 
     def test_identical_config_gives_identical_outputs(self, tmp_path, generated):
@@ -324,7 +324,7 @@ class TestReconstructCommand:
         argv = ["reconstruct", "--config", str(run)] + (["--joint"] if joint else [])
         assert main(argv) == 3
         assert "non-finite residual at step 0 (receiver 0)" in capsys.readouterr().err
-        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["termination_reason"] == "numerical-failure"
         assert summary["n_steps"] == 0 and summary["n_cycles"] == 0
         assert summary["last_finite_residuals"] == [None] * 4
@@ -338,7 +338,7 @@ class TestReconstructCommand:
         trace = exc_info.value.trace
         assert trace.n_steps >= 1
         _write_failure(tmp_path, RunConfig(instance_dir=str(generated)), exc_info.value)
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_steps"] == trace.n_steps
         assert summary["n_cycles"] == trace.n_cycles
         expected = [None] * 4
@@ -359,10 +359,23 @@ class TestReconstructCommand:
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         rc = main(["reconstruct", "--config", str(run), "--joint", "--max-cycles", "20"])
         assert rc == 0
-        summary = json.load(open(tmp_path / "rec" / "summary.json"))
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["joint"]
         assert summary["metadata"]["guarantee"].startswith("experimental")
         assert (tmp_path / "rec" / "result_coefficients.csv").exists()
+
+    def test_written_tables_take_the_loadtxt_path(self, tmp_path, generated, loadtxt_only):
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run), "--joint", "--max-cycles", "5"]) == 0
+        instance = io.load_instance(generated)
+        spec = instance.spec
+        for i in range(spec.r_num):
+            io.read_measurements_csv(generated / f"measurements_exact_{i}.csv", instance.mask)
+        rec = tmp_path / "rec"
+        io.read_complex_csv(rec / "result.csv")
+        io.read_coefficients_csv(rec / "result_coefficients.csv", spec.r_num, spec.b_num)
+        steps = io._read_table(rec / "trace.csv", io._TRACE)[0]
+        assert steps.size == 5 * spec.r_num
 
     def test_overflowing_mask_index_is_io_error(self, tmp_path, generated):
         edit_file(generated / "mask.csv", replace_line(2, TOO_BIG))
@@ -390,7 +403,7 @@ class TestReconstructCommand:
 class TestProbeConeCommand:
     def test_default_scalar_probe(self, tmp_path):
         assert main(["probe-cone", "--out", str(tmp_path), "--seed", "1"]) == 0
-        report = json.load(open(tmp_path / "cone_report.json"))
+        report = json.loads((tmp_path / "cone_report.json").read_text())
         assert report["scalar"]["max_ratio"] >= 1 - 1e-9
         assert report["scalar"]["exceeds_half"]
         assert "linear" not in report
@@ -400,7 +413,7 @@ class TestProbeConeCommand:
         with open(cfgpath, "w") as fh:
             json.dump({"instance": str(generated), "samples": 20, "seed": 2}, fh)
         assert main(["probe-cone", "--config", str(cfgpath), "--out", str(tmp_path)]) == 0
-        report = json.load(open(tmp_path / "cone_report.json"))
+        report = json.loads((tmp_path / "cone_report.json").read_text())
         assert report["linear"]["max_ratio"] <= 1e-10
         assert not report["linear"]["exceeds_half"]
         assert report["joint"]["exceeds_half"]

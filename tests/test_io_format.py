@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrikacz import io
+from mrikacz.errors import FileFormatError
 from mrikacz.grid import GridShape, KSpaceMask, MeasurementVector
 from mrikacz.solvers import IterationTrace
 
@@ -169,3 +170,136 @@ def test_nan_is_written_as_repr_and_reads_back_as_nan(tmp_path, nan_bits):
             np.testing.assert_array_equal(np.isnan(part), np.isnan(written))
             kept = ~np.isnan(written)
             np.testing.assert_array_equal(bits(part[kept]), bits(written[kept]))
+
+
+# The four tables the readers parse, by the name of the file kind that holds them.
+TABLES = {
+    "complex": io._COMPLEX,
+    "mask": io._MASK,
+    "measurements": io._MEASUREMENTS,
+    "coefficients": io._COEFFICIENTS,
+}
+
+
+def per_row(path, table):
+    """The reader's row-by-row path alone, the reference for ``_read_table``."""
+    _, body = io._read_body(path, table)
+    return io._per_row_columns(path, table, body)
+
+
+def outcome(read, path, table):
+    """The columns as ``(dtype, uint64 bits)`` pairs, or the error text."""
+    try:
+        columns = read(path, table)
+    except FileFormatError as exc:
+        return str(exc)
+    return [(col.dtype.str, bits(col).tolist()) for col in columns]
+
+
+# Fields that Python's int/float take but loadtxt declines ("1_5", "٣"),
+# that loadtxt reads otherwise than the format (a Takri digit, a trailing
+# \x1c), a float in an integer column, and integers above 2**63.
+ODD_FIELDS = [
+    "1_5",
+    "٣",
+    "\U000116c6",
+    "7\x1c",
+    "1.0",
+    "9223372036854775808",
+    "18446744073709551617",
+]
+# Lines that loadtxt skips ("", "\r") or that hold only whitespace.
+ODD_LINES = ["", "\r", " ", "\t ", "\x1f"]
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid table of one of the four kinds, then a few edits that may break it."""
+    table = TABLES[draw(st.sampled_from(sorted(TABLES)))]
+    n = draw(st.integers(0, 6))
+    field = {
+        np.int64: st.integers(-(2**63), 2**63 - 1).map(str),
+        np.float64: st.one_of(floats, st.just(np.nan)).map(fmt),
+    }
+    lines = [",".join(name for name, _ in table)]
+    for _ in range(n):
+        lines.append(",".join(draw(field[kind]) for _, kind in table))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["field", "line", "add-comma", "drop-comma"]))
+        if edit == "line":
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(ODD_LINES)))
+            continue
+        if len(lines) == 1:
+            continue
+        row = draw(st.integers(1, len(lines) - 1))
+        if edit == "add-comma":
+            at = draw(st.integers(0, len(lines[row])))
+            lines[row] = lines[row][:at] + "," + lines[row][at:]
+        elif edit == "drop-comma":
+            lines[row] = lines[row].replace(",", "", 1)
+        else:
+            fields = lines[row].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+            lines[row] = ",".join(fields)
+    newline = "\r\n" if draw(st.integers(0, 7)) == 0 else "\n"
+    return table, "".join(line + newline for line in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=mutated_tables())
+def test_read_table_matches_the_per_row_path(tmp_path_factory, case):
+    table, text = case
+    path = tmp_path_factory.mktemp("differential") / "table.csv"
+    path.write_bytes(text.encode())
+    assert outcome(io._read_table, path, table) == outcome(per_row, path, table)
+
+
+# Bodies whose lines loadtxt skips or splits, or whose fields it may read
+# otherwise than the format, with the per-row path's error (None where it
+# accepts the body).  Each must go the per-row way.
+MISREAD_BODIES = {
+    "blank-line": ("0,1.0,2.0\n\n1,3.0,4.0\n", ":3: expected 3 fields, got 0"),
+    "blank-last-line": ("0,1.0,2.0\n1,3.0,4.0\n\n", ":4: expected 3 fields, got 0"),
+    "only-a-blank-line": ("\n", ":2: expected 3 fields, got 0"),
+    "cr-line": ("0,1.0,2.0\n\r\n1,3.0,4.0\n", ":3: expected 3 fields, got 1"),
+    "cr-last-line": ("0,1.0,2.0\n1,3.0,4.0\n\r\n", ":4: expected 3 fields, got 1"),
+    "only-a-cr-line": ("\r\n", ":2: expected 3 fields, got 1"),
+    "cr-ended-row": ("0,1.0,2.0\r\n1,3.0,4.0\n", None),
+    "unit-separator": ("0,1.0,2.0\x1f\n", ":2: bad im value '2.0\\x1f'"),
+    "file-separator": ("\x1c0,1.0,2.0\n", ":2: bad index value '\\x1c0'"),
+    "non-ascii-digit": ("\U000116c6,1.0,2.0\n", None),
+    "non-ascii-space": ("0,1.0\xa0,2.0\n", None),
+}
+
+
+@pytest.mark.parametrize("body, error", MISREAD_BODIES.values(), ids=MISREAD_BODIES)
+def test_bodies_loadtxt_misreads_go_the_per_row_way(tmp_path, body, error):
+    path = tmp_path / "table.csv"
+    path.write_bytes(("index,re,im\n" + body).encode())
+    text, lines = io._read_body(path, io._COMPLEX)
+    assert io._loadtxt_columns(io._COMPLEX, text, lines) is None
+    got = outcome(io._read_table, path, io._COMPLEX)
+    assert got == outcome(per_row, path, io._COMPLEX)
+    if error is None:
+        assert not isinstance(got, str)
+    else:
+        assert got.endswith(error)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        complex_array(SPECIAL, SPECIAL[::-1]),
+        complex_array([np.nan, 2.5, -np.nan], [1e16, np.nan, -0.0]),
+        complex_array([-0.0], [5e-324]),
+    ],
+    ids=["special", "nan", "one-row"],
+)
+def test_written_tables_take_the_loadtxt_path(tmp_path, loadtxt_only, values):
+    case = Case(values, np.arange(values.size) * 2, 1, True)
+    path = tmp_path / "table.csv"
+    for back, written in zip(check_writers(path, case), (values, values, case.coefficients)):
+        np.testing.assert_array_equal(back, written)
+    # check_writers wrote the trace last.
+    columns = io._read_table(path, io._TRACE + (io._TRACE_ERROR,))
+    np.testing.assert_array_equal(columns[3], case.trace.alphas)

@@ -299,6 +299,29 @@ class TestRunJoint:
         )
         assert final <= 0.1 * result.metadata["initial_max_residual"]
 
+    @pytest.mark.parametrize("lope_first", [False, True], ids=["step-0", "after-a-loped-step"])
+    def test_singular_step_names_the_step_and_carries_the_trace(self, lope_first):
+        # Zero image and zero coefficients: the joint derivative there is zero.
+        problem = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21)).joint_problem()
+        if lope_first:
+            data = problem.measurements
+            zero = mk.MeasurementVector(data.mask, np.zeros(data.mask.p_proj))
+            problem = mk.Problem(
+                problem.operators, mk.MeasurementSet((zero,) + data.vectors[1:], data.deltas)
+            )
+        config = mk.SolverConfig(initial_coefficients=np.zeros((4, 2)))
+        with pytest.raises(SingularStepError) as exc_info:
+            mk.run_joint(problem, config)
+        step = int(lope_first)
+        assert str(exc_info.value) == (
+            "steepest-descent step hit a numerically zero curvature term "
+            f"at step {step} (receiver {step})"
+        )
+        trace = exc_info.value.trace
+        assert trace is not None and trace.n_steps == step and trace.k_star is None
+        np.testing.assert_array_equal(trace.omegas, [0] * step)
+        np.testing.assert_array_equal(trace.residuals, [0.0] * step)
+
 
 @pytest.mark.parametrize(
     "run, build, expected",
