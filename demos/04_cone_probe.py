@@ -33,5 +33,5 @@ joint = mk.cone_probe(joint_ops, center=center, radius=1.0, samples=50, seed=2)
 print(f"joint operators:      max ratio {joint.max_ratio:.2f} (>= 1/2: {joint.exceeds_half})")
 
 # The derivative itself stays bounded on any ball; size is not the issue.
-x = mk.JointParameter(instance.truth.image, instance.truth.coefficients)
+x = mk.JointParameter(instance.truth.image, instance.model.coefficients)
 print("derivative norm at the truth:", mk.estimate_derivative_norm(joint_ops[0], x))

@@ -27,14 +27,7 @@ from .grid import (
     inner_product,
     norm,
 )
-from .transform import (
-    DftPlan,
-    dft_adjoint,
-    dft_forward,
-    dft_inverse,
-    embed,
-    project,
-)
+from .transform import DftPlan, embed
 from .operators import (
     ConeProbeReport,
     JointForward,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io
 from .errors import ConfigurationError, FileFormatError, NumericalFailure
-from .grid import ComplexImage, JointParameter, norm
+from .grid import JointParameter, norm
 from .operators import ScalarProductModel, cone_probe, rescale_problem
 from .phantoms import synthesize
 from .solvers import METHOD_LLK, METHOD_LSDK, SolverConfig, run_joint, run_linear
@@ -29,7 +29,7 @@ EXIT_IO = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A reconstruct job: instance location, solver settings, output layout."""
+    """A reconstruct job: instance location, solver settings, output directory."""
 
     instance_dir: str
     method: str = METHOD_LSDK
@@ -38,11 +38,7 @@ class RunConfig:
     joint: bool = False
     eps_stop: float = 0.0
     initial_image: str | None = None
-    record_error: bool = True
     out_dir: str = "."
-    write_trace: bool = True
-    write_result_csv: bool = True
-    write_pgm: bool = True
 
 
 _RUN_KEYS = {
@@ -53,11 +49,8 @@ _RUN_KEYS = {
     "joint",
     "eps_stop",
     "initial_image",
-    "record_error",
     "out",
-    "formats",
 }
-_FORMAT_KEYS = {"trace", "result_csv", "pgm"}
 
 
 def _load_run_config(path) -> RunConfig:
@@ -69,9 +62,6 @@ def _load_run_config(path) -> RunConfig:
         raise FileFormatError(path, f"unknown run config fields: {sorted(unknown)}")
     if "instance" not in payload:
         raise FileFormatError(path, "run config must name an 'instance' directory")
-    formats = payload.get("formats", {})
-    if not isinstance(formats, dict) or set(formats) - _FORMAT_KEYS:
-        raise FileFormatError(path, f"formats must be a JSON object with keys {sorted(_FORMAT_KEYS)}")
     return RunConfig(
         instance_dir=str(payload["instance"]),
         method=payload.get("method", METHOD_LSDK),
@@ -80,11 +70,7 @@ def _load_run_config(path) -> RunConfig:
         joint=bool(payload.get("joint", False)),
         eps_stop=float(payload.get("eps_stop", 0.0)),
         initial_image=payload.get("initial_image"),
-        record_error=bool(payload.get("record_error", True)),
         out_dir=str(payload.get("out", ".")),
-        write_trace=bool(formats.get("trace", True)),
-        write_result_csv=bool(formats.get("result_csv", True)),
-        write_pgm=bool(formats.get("pgm", True)),
     )
 
 
@@ -107,7 +93,7 @@ def _last_finite_residuals(trace) -> list:
     return last
 
 
-def _write_failure(out, cfg, exc):
+def _write_failure(out, exc):
     """Write the partial trace and a summary of how far the run got before ``exc``."""
     trace = exc.trace
     summary = {
@@ -118,8 +104,7 @@ def _write_failure(out, cfg, exc):
         "last_finite_residuals": None,
     }
     if trace is not None:
-        if cfg.write_trace:
-            io.write_trace_csv(out / "trace.csv", trace)
+        io.write_trace_csv(out / "trace.csv", trace)
         summary.update(
             n_steps=trace.n_steps,
             n_cycles=trace.n_cycles,
@@ -144,7 +129,7 @@ def cmd_reconstruct(args) -> int:
     instance = io.load_instance(cfg.instance_dir)
     initial = None
     if cfg.initial_image is not None:
-        initial = ComplexImage(instance.spec.grid, io.read_complex_csv(cfg.initial_image))
+        initial = io.read_image_csv(cfg.initial_image, instance.spec.grid, "initial image")
     solver_cfg = SolverConfig(
         method=cfg.method,
         tau=cfg.tau,
@@ -165,11 +150,10 @@ def cmd_reconstruct(args) -> int:
             problem = instance.linear_problem()
             if cfg.method == METHOD_LLK:
                 problem, scaling = rescale_problem(problem)
-            reference = instance.truth.image if cfg.record_error else None
-            result = run_linear(problem, solver_cfg, reference=reference)
+            result = run_linear(problem, solver_cfg, reference=instance.truth.image)
             final_image = result.final
     except NumericalFailure as exc:
-        _write_failure(out, cfg, exc)
+        _write_failure(out, exc)
         raise
 
     final_residuals = [
@@ -196,14 +180,11 @@ def cmd_reconstruct(args) -> int:
         "scaling": None if scaling is None else scaling.as_dict(),
     }
     io.write_json(out / "summary.json", summary)
-    if cfg.write_trace:
-        io.write_trace_csv(out / "trace.csv", result.trace)
-    if cfg.write_result_csv:
-        io.write_complex_csv(out / "result.csv", final_image.values)
-        if cfg.joint:
-            io.write_coefficients_csv(out / "result_coefficients.csv", result.final.coefficients)
-    if cfg.write_pgm:
-        io.write_pgm(out / "result_magnitude.pgm", final_image)
+    io.write_trace_csv(out / "trace.csv", result.trace)
+    io.write_complex_csv(out / "result.csv", final_image.values)
+    if cfg.joint:
+        io.write_coefficients_csv(out / "result_coefficients.csv", result.final.coefficients)
+    io.write_pgm(out / "result_magnitude.pgm", final_image)
     print(
         f"{cfg.method}{' joint' if cfg.joint else ''}: {result.reason} after "
         f"{result.trace.n_cycles} cycles (k* = {result.trace.k_star})"

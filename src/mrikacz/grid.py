@@ -216,8 +216,8 @@ class MeasurementSet:
             raise DimensionMismatch(
                 f"got {deltas.size} noise levels for {len(vecs)} receivers"
             )
-        if np.any(deltas < 0):
-            raise ValueError("noise levels must be >= 0")
+        if not np.all(np.isfinite(deltas) & (deltas >= 0)):
+            raise ValueError(f"noise levels must be finite and >= 0, got {deltas.tolist()}")
         deltas.flags.writeable = False
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "deltas", deltas)

@@ -214,6 +214,16 @@ def read_complex_csv(path) -> np.ndarray:
     return _complex(re, im)
 
 
+def read_image_csv(path, shape: GridShape, what: str) -> ComplexImage:
+    """The image on ``shape`` in a :func:`write_complex_csv` file; ``what`` names it in errors."""
+    values = read_complex_csv(path)
+    if values.size != shape.p_num:
+        raise FileFormatError(
+            path, f"{what} length does not match grid: expected {shape.p_num}, got {values.size}"
+        )
+    return ComplexImage(shape, values)
+
+
 def write_mask_csv(path, mask: KSpaceMask):
     _write_table(path, _MASK, (mask.indices,))
 
@@ -354,7 +364,6 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
         "p_proj": instance.mask.p_proj,
         "deltas_absolute": [float(d) for d in instance.measurements.deltas],
         "exact_data_norms": [float(np.linalg.norm(v.values)) for v in instance.truth.exact.vectors],
-        "rho": instance.truth.rho,
         "initial_guess": "zero image",
         "flattening": "row-major, flat = (row-1)*p_hor + (col-1)",
         "noise_model": "complex Gaussian rescaled so ||noisy - exact|| = delta exactly",
@@ -367,56 +376,48 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
         _w(f"basis_{n}.csv", write_complex_csv, b.values)
     for i in range(spec.r_num):
         _w(f"measurements_{i}.csv", write_measurements_csv, instance.measurements.vectors[i])
-        _w(f"measurements_exact_{i}.csv", write_measurements_csv, instance.truth.exact.vectors[i])
     return written
 
 
 def load_instance(instance_dir) -> Instance:
     """Rebuild an :class:`Instance` from a directory written by ``write_instance``.
 
-    Reads ``instance.json``, ``ground_truth.csv``, ``mask.csv``,
+    Reads every file ``write_instance`` writes: ``instance.json`` (the spec
+    and ``metadata.deltas_absolute``), ``ground_truth.csv``, ``mask.csv``,
     ``coefficients.csv``, ``basis_<n>.csv`` and ``measurements_<i>.csv``.
     The exact data are derived from the loaded operators and ground truth
-    (:func:`mrikacz.phantoms.exact_data`, as ``synthesize`` makes them);
-    ``measurements_exact_<i>.csv`` is written for reference only and is
-    neither read nor validated here.
+    (:func:`mrikacz.phantoms.exact_data`, as ``synthesize`` makes them).
+    Anything else in the directory, such as the ``measurements_exact_<i>.csv``
+    files and ``metadata.rho`` of older layouts, is ignored.
     """
     d = Path(instance_dir)
-    payload = read_json(d / "instance.json")
+    meta_path = d / "instance.json"
+    payload = read_json(meta_path)
+    if not isinstance(payload, dict):
+        raise FileFormatError(meta_path, "instance file must be a JSON object")
     if "spec" not in payload or "metadata" not in payload:
-        raise FileFormatError(d / "instance.json", "missing 'spec' or 'metadata' section")
-    spec = spec_from_dict(payload["spec"], d / "instance.json")
+        raise FileFormatError(meta_path, "missing 'spec' or 'metadata' section")
+    spec = spec_from_dict(payload["spec"], meta_path)
     meta = payload["metadata"]
+    deltas = meta.get("deltas_absolute") if isinstance(meta, dict) else None
+    if not isinstance(deltas, list) or not all(type(x) in (int, float) for x in deltas):
+        raise FileFormatError(meta_path, "metadata.deltas_absolute must be a list of numbers")
     shape = spec.grid
 
-    truth_values = read_complex_csv(d / "ground_truth.csv")
-    if truth_values.size != shape.p_num:
-        raise FileFormatError(d / "ground_truth.csv", "ground truth length does not match grid")
-    image = ComplexImage(shape, truth_values)
+    image = read_image_csv(d / "ground_truth.csv", shape, "ground truth")
     mask = read_mask_csv(d / "mask.csv", shape)
     coeff = read_coefficients_csv(d / "coefficients.csv", spec.r_num, spec.b_num)
-    basis = []
-    for n in range(spec.b_num):
-        vals = read_complex_csv(d / f"basis_{n}.csv")
-        if vals.size != shape.p_num:
-            raise FileFormatError(d / f"basis_{n}.csv", "basis length does not match grid")
-        basis.append(ComplexImage(shape, vals))
-    model = SensitivityModel(tuple(basis), coeff)
+    basis = tuple(read_image_csv(d / f"basis_{n}.csv", shape, "basis") for n in range(spec.b_num))
+    model = SensitivityModel(basis, coeff)
     plan = DftPlan(shape.p_num)
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
 
-    deltas = np.asarray(meta["deltas_absolute"], dtype=np.float64)
-    noisy = MeasurementSet(
-        tuple(read_measurements_csv(d / f"measurements_{i}.csv", mask) for i in range(spec.r_num)),
-        deltas,
-    )
-    truth = GroundTruth(
-        image=image,
-        coefficients=coeff,
-        exact=exact_data(operators, image),
-        rho=float(meta["rho"]),
-        initial_image=ComplexImage.zero(shape),
-    )
+    vectors = tuple(read_measurements_csv(d / f"measurements_{i}.csv", mask) for i in range(spec.r_num))
+    try:
+        noisy = MeasurementSet(vectors, deltas)
+    except (ValueError, OverflowError) as exc:
+        raise FileFormatError(meta_path, f"metadata.deltas_absolute: {exc}") from None
+    truth = GroundTruth(image=image, exact=exact_data(operators, image))
     return Instance(
         spec=spec, truth=truth, model=model, mask=mask, operators=operators, measurements=noisy
     )

@@ -187,8 +187,8 @@ class InstanceSpec:
             raise ConfigurationError(
                 f"got {len(deltas)} noise levels for {self.r_num} receivers"
             )
-        if any(d < 0 for d in deltas):
-            raise ConfigurationError("noise levels must be >= 0")
+        if not all(math.isfinite(d) and d >= 0 for d in deltas):
+            raise ConfigurationError(f"noise levels must be finite and >= 0, got {list(deltas)}")
         object.__setattr__(self, "deltas", deltas)
 
     @property
@@ -198,13 +198,13 @@ class InstanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Exact solution, exact data, and the ball the convergence tests use."""
+    """The exact image and its noise-free data (:func:`exact_data`).
+
+    The exact coefficients are the instance's ``model.coefficients``.
+    """
 
     image: ComplexImage
-    coefficients: np.ndarray
     exact: MeasurementSet
-    rho: float
-    initial_image: ComplexImage
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,10 +289,7 @@ def synthesize(spec: InstanceSpec) -> Instance:
         deltas = deltas * np.array([np.linalg.norm(v.values) for v in exact.vectors])
     noisy = calibrated_noise(exact, deltas, seed_noise)
 
-    initial = ComplexImage.zero(shape)
-    distance = float(np.linalg.norm(image.values - initial.values))
-    rho = 2.0 * distance if distance > 0 else 1.0
-    truth = GroundTruth(image=image, coefficients=model.coefficients, exact=exact, rho=rho, initial_image=initial)
+    truth = GroundTruth(image=image, exact=exact)
     return Instance(spec=spec, truth=truth, model=model, mask=mask, operators=operators, measurements=noisy)
 
 

@@ -1,4 +1,4 @@
-"""The flattened 1-D Fourier transform and the k-space restriction.
+"""The flattened 1-D Fourier transform and the zero-fill of masked k-space data.
 
 The transform acts on the row-major flattening of an image:
 
@@ -48,30 +48,8 @@ class DftPlan:
         return np.fft.ifft(self._checked(values), norm="forward")
 
 
-def dft_forward(plan: DftPlan, f: ComplexImage) -> ComplexImage:
-    """Unnormalized forward transform of the flattened image."""
-    return _fresh(ComplexImage, f.shape, plan.forward_values(f.values))
-
-
-def dft_adjoint(plan: DftPlan, g: ComplexImage) -> ComplexImage:
-    """Adjoint transform; adjoint(forward(f)) == p_num * f."""
-    return _fresh(ComplexImage, g.shape, plan.adjoint_values(g.values))
-
-
-def dft_inverse(plan: DftPlan, g: ComplexImage) -> ComplexImage:
-    """Inverse transform, i.e. the adjoint scaled by 1 / p_num."""
-    return ComplexImage(g.shape, plan.adjoint_values(g.values) / plan.p_num)
-
-
-def project(mask: KSpaceMask, f: ComplexImage) -> MeasurementVector:
-    """Restrict an image to the masked k-space positions."""
-    if f.shape != mask.shape:
-        raise DimensionMismatch(f"grid mismatch: {f.shape} vs {mask.shape}")
-    return _fresh(MeasurementVector, mask, f.values[mask.indices])
-
-
 def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:
-    """Zero-fill adjoint of :func:`project`."""
+    """Zero-fill adjoint of the restriction ``values[mask.indices]``."""
     if not g.mask.matches(mask):
         raise DimensionMismatch("measurement vector does not live on this mask")
     out = np.zeros(mask.shape.p_num, dtype=np.complex128)

@@ -86,11 +86,11 @@ def test_c02_adjoint_dot_product_suite(instance32):
         return gap <= 1e-10
 
     ok = True
-    for _ in range(100):  # restriction and its zero-fill adjoint
+    for _ in range(100):  # restriction values[mask.indices] and its zero-fill adjoint
         f = random_image(rng, shape)
         g = random_measurement(rng, mask)
         ok &= check(
-            mk.inner_product(mk.project(mask, f), g),
+            mk.inner_product(mk.MeasurementVector(mask, f.values[mask.indices]), g),
             mk.inner_product(f, mk.embed(mask, g)),
             mk.norm(f),
             mk.norm(g),
@@ -98,8 +98,8 @@ def test_c02_adjoint_dot_product_suite(instance32):
     for _ in range(100):  # transform and its adjoint
         f, g = random_image(rng, shape), random_image(rng, shape)
         ok &= check(
-            mk.inner_product(mk.dft_forward(plan, f), g),
-            mk.inner_product(f, mk.dft_adjoint(plan, g)),
+            mk.inner_product(mk.ComplexImage(shape, plan.forward_values(f.values)), g),
+            mk.inner_product(f, mk.ComplexImage(shape, plan.adjoint_values(g.values))),
             mk.norm(f),
             mk.norm(g),
         )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
-from mrikacz.transform import dft_adjoint, dft_forward, embed, project
+from mrikacz.transform import embed
 
 from conftest import random_image, random_joint, random_measurement
 
@@ -83,10 +83,7 @@ def library_results():
         ("joint+", x + dx, [x, dx]),
         ("joint-", x - dx, [x, dx]),
         ("joint*scalar", 0.5 * x, [x]),
-        ("project", project(MASK, f), [f]),
         ("embed", embed(MASK, u), [u]),
-        ("dft_forward", dft_forward(PLAN, f), [f]),
-        ("dft_adjoint", dft_adjoint(PLAN, f), [f]),
         ("LinearForward.apply", linear.apply(f), [f]),
         ("LinearForward.adjoint", linear.adjoint(u), [u]),
         ("JointForward.apply", joint.apply(x), [x]),

@@ -6,7 +6,7 @@ import pytest
 
 import mrikacz as mk
 from mrikacz import io
-from mrikacz.cli import RunConfig, _write_failure, main
+from mrikacz.cli import _write_failure, main
 from mrikacz.errors import FileFormatError, NumericalFailure
 
 SPEC_8 = {
@@ -143,7 +143,6 @@ class TestInstanceRoundTrip:
             np.testing.assert_array_equal(a.values, b.values)
         for a, b in zip(loaded.model.basis, inst.model.basis):
             np.testing.assert_array_equal(a.values, b.values)
-        assert loaded.truth.rho == inst.truth.rho
 
     @pytest.mark.parametrize("mask_family", ["full", "rows", "random"])
     @pytest.mark.parametrize("side", [8, 6], ids=["8x8", "6x6"])
@@ -151,14 +150,9 @@ class TestInstanceRoundTrip:
         spec = mk.InstanceSpec(p_hor=side, p_ver=side, r_num=3, b_num=2, mask_family=mask_family, seed=5)
         inst = mk.synthesize(spec)
         io.write_instance(inst, tmp_path)
-        written = []
-        for i in range(spec.r_num):
-            path = tmp_path / f"measurements_exact_{i}.csv"
-            written.append(io.read_measurements_csv(path, inst.mask).values)
-            path.unlink()
         loaded = io.load_instance(tmp_path)
-        for derived, values in zip(loaded.truth.exact.vectors, written):
-            np.testing.assert_array_equal(derived.values.view(np.uint64), values.view(np.uint64))
+        for derived, made in zip(loaded.truth.exact.vectors, inst.truth.exact.vectors):
+            np.testing.assert_array_equal(derived.values.view(np.uint64), made.values.view(np.uint64))
         np.testing.assert_array_equal(loaded.truth.exact.deltas, np.zeros(spec.r_num))
 
     @pytest.mark.parametrize("name, edit, line, fragment", CORRUPTIONS)
@@ -172,6 +166,17 @@ class TestInstanceRoundTrip:
         loc = f"{target}:{line}" if line is not None else str(target)
         assert str(err.value).startswith(f"{loc}: ")
         assert fragment in str(err.value)
+
+    def test_every_written_file_is_read(self, tmp_path):
+        inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
+        written = io.write_instance(inst, tmp_path)
+        for path in written:
+            content = path.read_bytes()
+            path.unlink()
+            with pytest.raises(FileFormatError) as err:
+                io.load_instance(tmp_path)
+            assert str(err.value).startswith(f"{path}: cannot open")
+            path.write_bytes(content)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -206,19 +211,22 @@ class TestGenerateCommand:
         out = tmp_path / "inst"
         assert main(["generate", "--config", str(spec), "--out", str(out)]) == 0
         names = {p.name for p in out.iterdir()}
-        assert {"instance.json", "ground_truth.csv", "mask.csv", "coefficients.csv"} <= names
-        assert {f"measurements_{i}.csv" for i in range(4)} <= names
-        assert {f"measurements_exact_{i}.csv" for i in range(4)} <= names
-        assert {f"basis_{n}.csv" for n in range(2)} <= names
+        assert names == {
+            "instance.json",
+            "ground_truth.csv",
+            "mask.csv",
+            "coefficients.csv",
+            *(f"basis_{n}.csv" for n in range(2)),
+            *(f"measurements_{i}.csv" for i in range(4)),
+        }
 
     def test_zero_noise_files_byte_identical(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", deltas=0.0)
         out = tmp_path / "inst"
         main(["generate", "--config", str(spec), "--out", str(out)])
-        for i in range(4):
-            assert read_bytes(out / f"measurements_{i}.csv") == read_bytes(
-                out / f"measurements_exact_{i}.csv"
-            )
+        instance = io.load_instance(out)
+        for loaded, exact in zip(instance.measurements.vectors, instance.truth.exact.vectors):
+            np.testing.assert_array_equal(loaded.values.view(np.uint64), exact.values.view(np.uint64))
 
     def test_regeneration_byte_identical(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -259,6 +267,44 @@ def write_run_config(path, instance, out, **overrides):
     with open(path, "w") as fh:
         json.dump(payload, fh)
     return path
+
+
+def with_deltas(deltas):
+    """An edit of ``instance.json`` that sets ``metadata.deltas_absolute``, or drops it for None."""
+
+    def edit(payload):
+        meta = dict(payload["metadata"], deltas_absolute=deltas)
+        if deltas is None:
+            del meta["deltas_absolute"]
+        return dict(payload, metadata=meta)
+
+    return edit
+
+
+# Edits of a generated 4-receiver instance.json that leave it unusable.
+BAD_INSTANCE_FILES = [
+    pytest.param(lambda payload: 3, id="not-an-object"),
+    pytest.param(lambda payload: dict(payload, metadata=[]), id="metadata-list"),
+    pytest.param(
+        lambda payload: dict(payload, spec=dict(payload["spec"], deltas=float("nan"))),
+        id="spec-deltas-nan",
+    ),
+    *(
+        pytest.param(with_deltas(deltas), id=f"deltas-{label}")
+        for label, deltas in [
+            ("missing", None),
+            ("number", 0.1),
+            ("short", [0.1, 0.1, 0.1]),
+            ("negative", [-0.1, 0.1, 0.1, 0.1]),
+            ("string", ["0.1", 0.1, 0.1, 0.1]),
+            ("bool", [True, 0.1, 0.1, 0.1]),
+            ("nan", [float("nan"), 0.1, 0.1, 0.1]),
+            ("inf", [float("inf"), 0.1, 0.1, 0.1]),
+            ("-inf", [float("-inf"), 0.1, 0.1, 0.1]),
+            ("huge-int", [10**400, 0.1, 0.1, 0.1]),
+        ]
+    ),
+]
 
 
 class TestReconstructCommand:
@@ -337,7 +383,7 @@ class TestReconstructCommand:
             mk.run_linear(problem, config)
         trace = exc_info.value.trace
         assert trace.n_steps >= 1
-        _write_failure(tmp_path, RunConfig(instance_dir=str(generated)), exc_info.value)
+        _write_failure(tmp_path, exc_info.value)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_steps"] == trace.n_steps
         assert summary["n_cycles"] == trace.n_cycles
@@ -347,12 +393,18 @@ class TestReconstructCommand:
         assert summary["last_finite_residuals"] == expected
 
     def test_corrupt_exact_data_file_changes_no_output(self, tmp_path, generated):
+        """An older layout, with exact-data files and ``metadata.rho``, loads as before."""
         run1 = write_run_config(tmp_path / "run1.json", generated, tmp_path / "rec1")
         run2 = write_run_config(tmp_path / "run2.json", generated, tmp_path / "rec2")
         assert main(["reconstruct", "--config", str(run1)]) == 0
         (generated / "measurements_exact_0.csv").write_text("not,a\nmeasurement file\n")
+        payload = json.loads((generated / "instance.json").read_text())
+        payload["metadata"]["rho"] = 3.5
+        io.write_json(generated / "instance.json", payload)
         assert main(["reconstruct", "--config", str(run2)]) == 0
-        for name in ("trace.csv", "result.csv"):
+        outputs = sorted(p.name for p in (tmp_path / "rec1").iterdir())
+        assert outputs == sorted(p.name for p in (tmp_path / "rec2").iterdir())
+        for name in outputs:
             assert read_bytes(tmp_path / "rec1" / name) == read_bytes(tmp_path / "rec2" / name)
 
     def test_joint_flag_writes_coefficients(self, tmp_path, generated):
@@ -367,10 +419,7 @@ class TestReconstructCommand:
     def test_written_tables_take_the_loadtxt_path(self, tmp_path, generated, loadtxt_only):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run), "--joint", "--max-cycles", "5"]) == 0
-        instance = io.load_instance(generated)
-        spec = instance.spec
-        for i in range(spec.r_num):
-            io.read_measurements_csv(generated / f"measurements_exact_{i}.csv", instance.mask)
+        spec = io.load_instance(generated).spec
         rec = tmp_path / "rec"
         io.read_complex_csv(rec / "result.csv")
         io.read_coefficients_csv(rec / "result_coefficients.csv", spec.r_num, spec.b_num)
@@ -390,6 +439,33 @@ class TestReconstructCommand:
             fh.write(b"\xff\xfe\n")
         assert main(["reconstruct", "--config", str(run)]) == 4
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", BAD_INSTANCE_FILES)
+    def test_bad_instance_metadata_is_io_error(self, tmp_path, generated, capsys, edit):
+        path = generated / "instance.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert f"{path}: " in capsys.readouterr().err
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps({"instance": str(generated), "targets": ["linear"]}))
+        assert main(["probe-cone", "--config", str(probe), "--out", str(tmp_path)]) == 4
+        assert f"{path}: " in capsys.readouterr().err
+
+    def test_wrong_length_initial_image_is_io_error(self, tmp_path, generated, capsys):
+        image = tmp_path / "initial.csv"
+        io.write_complex_csv(image, np.ones(1))
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", initial_image=str(image))
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert f"{image}: initial image length does not match grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("record_error", False), ("formats", {"pgm": False})], ids=["record_error", "formats"]
+    )
+    def test_unknown_run_config_field_is_io_error(self, tmp_path, generated, capsys, field, value):
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", **{field: value})
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert f"unknown run config fields: ['{field}']" in capsys.readouterr().err
 
     def test_missing_instance_is_io_error(self, tmp_path):
         run = write_run_config(tmp_path / "run.json", tmp_path / "ghost", tmp_path / "rec")

@@ -5,6 +5,9 @@ import mrikacz as mk
 from mrikacz.errors import ConfigurationError
 
 
+TWO_RECEIVERS = (mk.MeasurementVector(mk.KSpaceMask(mk.GridShape(2, 1), [0, 1]), [1, 2]),) * 2
+
+
 class TestMakePhantom:
     def test_constant(self):
         img = mk.make_phantom("constant", mk.GridShape(3, 2))
@@ -148,10 +151,6 @@ class TestSynthesize:
             np.linalg.norm(default_instance.model.coefficients, axis=1), 1.0
         )
 
-    def test_ball_radius_covers_initial_guess(self, default_instance):
-        truth = default_instance.truth
-        assert mk.norm(truth.initial_image - truth.image) <= truth.rho / 2
-
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             mk.InstanceSpec(r_num=0)
@@ -161,6 +160,18 @@ class TestSynthesize:
             mk.InstanceSpec(deltas=-0.5)
         with pytest.raises(ConfigurationError):
             mk.InstanceSpec(delta_mode="percent")
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.5])
+    def test_noise_levels_must_be_finite_and_non_negative(self, delta):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            mk.InstanceSpec(r_num=2, deltas=(delta, 0.1))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            mk.MeasurementSet(TWO_RECEIVERS, [delta, 0.1])
+
+    @pytest.mark.parametrize("delta", [0.0, -0.0])
+    def test_zero_noise_level_is_accepted(self, delta):
+        assert mk.InstanceSpec(r_num=2, deltas=(delta, 0.1)).deltas[0] == 0
+        assert mk.MeasurementSet(TWO_RECEIVERS, [delta, 0.1]).deltas[0] == 0
 
 
 class TestNoiseSequence:
