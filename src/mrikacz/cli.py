@@ -41,36 +41,31 @@ class RunConfig:
     out_dir: str = "."
 
 
-_RUN_KEYS = {
-    "instance",
-    "method",
-    "tau",
-    "max_cycles",
-    "joint",
-    "eps_stop",
-    "initial_image",
-    "out",
+_RUN_FIELDS = {
+    "instance": io.STRING,
+    "method": io.STRING,
+    "tau": io.NUMBER,
+    "max_cycles": io.INTEGER,
+    "joint": io.BOOLEAN,
+    "eps_stop": io.NUMBER,
+    "initial_image": io.nullable(io.STRING),
+    "out": io.STRING,
 }
 
 
 def _load_run_config(path) -> RunConfig:
-    payload = io.read_json(path)
-    if not isinstance(payload, dict):
-        raise FileFormatError(path, "run config must be a JSON object")
-    unknown = set(payload) - _RUN_KEYS
-    if unknown:
-        raise FileFormatError(path, f"unknown run config fields: {sorted(unknown)}")
+    payload = io.check_fields(path, io.read_json(path), _RUN_FIELDS, "run config")
     if "instance" not in payload:
         raise FileFormatError(path, "run config must name an 'instance' directory")
     return RunConfig(
-        instance_dir=str(payload["instance"]),
+        instance_dir=payload["instance"],
         method=payload.get("method", METHOD_LSDK),
         tau=float(payload.get("tau", 2.1)),
-        max_cycles=int(payload.get("max_cycles", 10000)),
-        joint=bool(payload.get("joint", False)),
+        max_cycles=payload.get("max_cycles", 10000),
+        joint=payload.get("joint", False),
         eps_stop=float(payload.get("eps_stop", 0.0)),
         initial_image=payload.get("initial_image"),
-        out_dir=str(payload.get("out", ".")),
+        out_dir=payload.get("out", "."),
     )
 
 
@@ -192,19 +187,21 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-_PROBE_KEYS = {"instance", "targets", "samples", "radius", "seed"}
+_PROBE_FIELDS = {
+    "instance": io.nullable(io.STRING),
+    "targets": io.nullable(io.STRINGS),
+    "samples": io.INTEGER,
+    "radius": io.NUMBER,
+    "seed": io.INTEGER,
+}
 
 
 def cmd_probe_cone(args) -> int:
     payload = io.read_json(args.config) if args.config else {}
-    if not isinstance(payload, dict):
-        raise FileFormatError(args.config, "probe config must be a JSON object")
-    unknown = set(payload) - _PROBE_KEYS
-    if unknown:
-        raise FileFormatError(args.config, f"unknown probe config fields: {sorted(unknown)}")
-    samples = int(payload.get("samples", 200))
+    io.check_fields(args.config, payload, _PROBE_FIELDS, "probe config")
+    samples = payload.get("samples", 200)
     radius = float(payload.get("radius", 1.0))
-    seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
+    seed = args.seed if args.seed is not None else payload.get("seed", 0)
     instance_dir = payload.get("instance")
     targets = payload.get("targets")
     if targets is None:

@@ -1,5 +1,11 @@
 """On-disk formats: instance directories, trace/report files, PGM images.
 
+An instance directory holds only what its spec cannot rebuild: the spec
+and noise levels (``instance.json``), the ground truth, mask, coefficients
+and noisy data.  Loading rebuilds the sensitivity basis from the spec
+(:func:`mrikacz.phantoms.make_basis`) and derives the exact data from the
+loaded operators.
+
 Complex vectors go to CSV with one value per row as (index, re, im); masks
 are index lists; specs, summaries and reports are JSON.  Floats are written
 with ``repr`` so every file round-trips bit-exactly, and regeneration with
@@ -35,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import ConfigurationError, FileFormatError
 from .grid import (
     ComplexImage,
     GridShape,
@@ -45,25 +51,67 @@ from .grid import (
     SensitivityModel,
 )
 from .operators import LinearForward
-from .phantoms import GroundTruth, Instance, InstanceSpec, exact_data
+from .phantoms import GroundTruth, Instance, InstanceSpec, exact_data, make_basis
 from .solvers import IterationTrace
 from .transform import DftPlan
 
 FORMAT_VERSION = 1
 
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# Types of JSON object fields: (what a value must be, its test).  A bool is
+# neither an integer nor a number, and no value is converted to fit.
+INTEGER = ("an integer", lambda value: type(value) is int)
+NUMBER = ("a number", _is_number)
+NUMBERS = (
+    "a number or a list of numbers",
+    lambda value: _is_number(value) or (type(value) is list and all(map(_is_number, value))),
+)
+STRING = ("a string", lambda value: type(value) is str)
+STRINGS = ("a list of strings", lambda value: type(value) is list and all(type(v) is str for v in value))
+BOOLEAN = ("true or false", lambda value: type(value) is bool)
+
+
+def nullable(kind):
+    """``kind``, or JSON ``null``."""
+    what, test = kind
+    return (f"{what} or null", lambda value: value is None or test(value))
+
+
+def check_fields(path, payload, fields: dict, what: str) -> dict:
+    """``payload``, checked to be a JSON object with only ``fields``, each of its type.
+
+    ``fields`` maps each allowed name to its kind (such as :data:`INTEGER`);
+    ``what`` names the object in errors, which name ``path``.
+    """
+    if not isinstance(payload, dict):
+        raise FileFormatError(path, f"{what} must be a JSON object")
+    unknown = set(payload) - set(fields)
+    if unknown:
+        raise FileFormatError(path, f"unknown {what} fields: {sorted(unknown)}")
+    for name, value in payload.items():
+        kind, test = fields[name]
+        if not test(value):
+            raise FileFormatError(path, f"{what} field {name!r} must be {kind}, got {value!r}")
+    return payload
+
+
 _SPEC_FIELDS = {
-    "p_hor",
-    "p_ver",
-    "r_num",
-    "basis_family",
-    "b_num",
-    "mask_family",
-    "mask_fraction",
-    "p_proj",
-    "phantom_family",
-    "deltas",
-    "delta_mode",
-    "seed",
+    "p_hor": INTEGER,
+    "p_ver": INTEGER,
+    "r_num": INTEGER,
+    "basis_family": STRING,
+    "b_num": INTEGER,
+    "mask_family": STRING,
+    "mask_fraction": nullable(NUMBER),
+    "p_proj": nullable(INTEGER),
+    "phantom_family": STRING,
+    "deltas": NUMBERS,
+    "delta_mode": STRING,
+    "seed": INTEGER,
 }
 
 
@@ -331,11 +379,7 @@ def spec_to_dict(spec: InstanceSpec) -> dict:
 
 
 def spec_from_dict(payload: dict, path="<spec>") -> InstanceSpec:
-    if not isinstance(payload, dict):
-        raise FileFormatError(path, "spec must be a JSON object")
-    unknown = set(payload) - _SPEC_FIELDS
-    if unknown:
-        raise FileFormatError(path, f"unknown spec fields: {sorted(unknown)}")
+    check_fields(path, payload, _SPEC_FIELDS, "spec")
     try:
         return InstanceSpec(**payload)
     except (TypeError, ValueError) as exc:
@@ -372,8 +416,6 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
     _w("ground_truth.csv", write_complex_csv, instance.truth.image.values)
     _w("mask.csv", write_mask_csv, instance.mask)
     _w("coefficients.csv", write_coefficients_csv, instance.model.coefficients)
-    for n, b in enumerate(instance.model.basis):
-        _w(f"basis_{n}.csv", write_complex_csv, b.values)
     for i in range(spec.r_num):
         _w(f"measurements_{i}.csv", write_measurements_csv, instance.measurements.vectors[i])
     return written
@@ -384,11 +426,14 @@ def load_instance(instance_dir) -> Instance:
 
     Reads every file ``write_instance`` writes: ``instance.json`` (the spec
     and ``metadata.deltas_absolute``), ``ground_truth.csv``, ``mask.csv``,
-    ``coefficients.csv``, ``basis_<n>.csv`` and ``measurements_<i>.csv``.
-    The exact data are derived from the loaded operators and ground truth
+    ``coefficients.csv`` and ``measurements_<i>.csv``.  The basis is built
+    from the spec (:func:`mrikacz.phantoms.make_basis`); a spec it cannot be
+    built from is a fault of ``instance.json``.  The exact data are derived
+    from the loaded operators and ground truth
     (:func:`mrikacz.phantoms.exact_data`, as ``synthesize`` makes them).
-    Anything else in the directory, such as the ``measurements_exact_<i>.csv``
-    files and ``metadata.rho`` of older layouts, is ignored.
+    Anything else in the directory, such as the ``basis_<n>.csv`` and
+    ``measurements_exact_<i>.csv`` files and ``metadata.rho`` of older
+    layouts, is ignored.
     """
     d = Path(instance_dir)
     meta_path = d / "instance.json"
@@ -400,14 +445,17 @@ def load_instance(instance_dir) -> Instance:
     spec = spec_from_dict(payload["spec"], meta_path)
     meta = payload["metadata"]
     deltas = meta.get("deltas_absolute") if isinstance(meta, dict) else None
-    if not isinstance(deltas, list) or not all(type(x) in (int, float) for x in deltas):
+    if not isinstance(deltas, list) or not all(map(_is_number, deltas)):
         raise FileFormatError(meta_path, "metadata.deltas_absolute must be a list of numbers")
     shape = spec.grid
+    try:
+        basis = make_basis(spec.basis_family, spec.b_num, shape)
+    except ConfigurationError as exc:
+        raise FileFormatError(meta_path, f"cannot build the basis: {exc}") from None
 
     image = read_image_csv(d / "ground_truth.csv", shape, "ground truth")
     mask = read_mask_csv(d / "mask.csv", shape)
     coeff = read_coefficients_csv(d / "coefficients.csv", spec.r_num, spec.b_num)
-    basis = tuple(read_image_csv(d / f"basis_{n}.csv", shape, "basis") for n in range(spec.b_num))
     model = SensitivityModel(basis, coeff)
     plan = DftPlan(shape.p_num)
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))

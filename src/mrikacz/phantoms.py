@@ -60,21 +60,29 @@ def make_phantom(family: str, shape: GridShape, seed=0) -> ComplexImage:
     raise ConfigurationError(f"unknown phantom family {family!r}")
 
 
-def _harmonic_order(p_hor: int, p_ver: int):
-    # Signed frequencies aliased to the symmetric range, lowest first,
-    # zero mode in front; the order is a fixed contract.
-    modes = []
-    for kx in range(p_hor):
-        sx = kx if kx <= p_hor // 2 else kx - p_hor
-        for ky in range(p_ver):
-            sy = ky if ky <= p_ver // 2 else ky - p_ver
-            modes.append((sx, sy))
-    modes.sort(key=lambda m: (abs(m[0]) + abs(m[1]), max(abs(m[0]), abs(m[1])), m[0], m[1]))
-    return modes
+def _harmonic_order(p_hor: int, p_ver: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed frequencies ``(sx, sy)`` of every harmonic, in basis order.
+
+    Frequencies are aliased to the symmetric range and ordered by
+    ``(|sx|+|sy|, max(|sx|,|sy|), sx, sy)``, lowest first, so the zero mode
+    leads; the order is a fixed contract.
+    """
+    kx, ky = np.arange(p_hor), np.arange(p_ver)
+    sx = np.where(kx <= p_hor // 2, kx, kx - p_hor)
+    sy = np.where(ky <= p_ver // 2, ky, ky - p_ver)
+    sx, sy = (a.ravel() for a in np.meshgrid(sx, sy, indexing="ij"))
+    ax, ay = np.abs(sx), np.abs(sy)
+    order = np.lexsort((sy, sx, np.maximum(ax, ay), ax + ay))
+    return sx[order], sy[order]
 
 
 def make_basis(family: str, b_num: int, shape: GridShape) -> tuple[ComplexImage, ...]:
-    """Deterministic sensitivity basis of the given family."""
+    """Deterministic sensitivity basis of the given family.
+
+    The basis depends only on ``(family, b_num, shape)``: instance
+    directories store those three in ``instance.json`` and rely on this
+    function to rebuild the basis bit for bit on load.
+    """
     if b_num < 1:
         raise ConfigurationError("b_num must be >= 1")
     if family == "constant":
@@ -87,9 +95,10 @@ def make_basis(family: str, b_num: int, shape: GridShape) -> tuple[ComplexImage,
                 f"cannot form {b_num} distinct harmonics on a {shape.p_num}-pixel grid"
             )
         rows, cols = np.indices((shape.p_ver, shape.p_hor))
+        sx, sy = _harmonic_order(shape.p_hor, shape.p_ver)
         out = []
-        for sx, sy in _harmonic_order(shape.p_hor, shape.p_ver)[:b_num]:
-            phase = 2j * np.pi * (sx * cols / shape.p_hor + sy * rows / shape.p_ver)
+        for fx, fy in zip(sx[:b_num].tolist(), sy[:b_num].tolist()):
+            phase = 2j * np.pi * (fx * cols / shape.p_hor + fy * rows / shape.p_ver)
             out.append(ComplexImage.from_grid(np.exp(phase)))
         return tuple(out)
     if family == "bumps":

@@ -141,8 +141,9 @@ class TestInstanceRoundTrip:
             np.testing.assert_array_equal(a.values, b.values)
         for a, b in zip(loaded.truth.exact.vectors, inst.truth.exact.vectors):
             np.testing.assert_array_equal(a.values, b.values)
+        assert len(loaded.model.basis) == len(inst.model.basis)
         for a, b in zip(loaded.model.basis, inst.model.basis):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
     @pytest.mark.parametrize("mask_family", ["full", "rows", "random"])
     @pytest.mark.parametrize("side", [8, 6], ids=["8x8", "6x6"])
@@ -216,7 +217,6 @@ class TestGenerateCommand:
             "ground_truth.csv",
             "mask.csv",
             "coefficients.csv",
-            *(f"basis_{n}.csv" for n in range(2)),
             *(f"measurements_{i}.csv" for i in range(4)),
         }
 
@@ -248,6 +248,46 @@ class TestGenerateCommand:
         with open(path, "w") as fh:
             json.dump(dict(SPEC_8, extra=1), fh)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_hor", 8.5),
+            ("p_ver", "8"),
+            ("r_num", True),
+            ("b_num", None),
+            ("seed", 21.0),
+            ("p_proj", 2.5),
+            ("mask_fraction", "0.5"),
+            ("mask_fraction", False),
+            ("deltas", True),
+            ("deltas", "0.05"),
+            ("deltas", [0.05, 0.05, True, 0.05]),
+            ("deltas", None),
+            ("basis_family", 3),
+            ("mask_family", None),
+            ("phantom_family", ["blobs"]),
+            ("delta_mode", 1),
+        ],
+    )
+    def test_wrong_spec_field_type_is_io_error(self, tmp_path, capsys, field, value):
+        path = write_spec(tmp_path / "spec.json", **{field: value})
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert f"{path}: spec field '{field}' must be " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mask_fraction": None, "p_proj": 20},
+            {"mask_fraction": 1, "deltas": 0},
+            {"deltas": [0.05, 0, 0.1, 0.2]},
+        ],
+        ids=["p_proj", "integer-numbers", "deltas-list"],
+    )
+    def test_well_typed_spec_fields_are_accepted(self, tmp_path, overrides):
+        path = write_spec(tmp_path / "spec.json", **overrides)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
 
     def test_missing_spec_file(self, tmp_path):
         rc = main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -281,14 +321,20 @@ def with_deltas(deltas):
     return edit
 
 
-# Edits of a generated 4-receiver instance.json that leave it unusable.
+def with_spec(**fields):
+    """An edit of ``instance.json`` that sets ``fields`` in its spec."""
+    return lambda payload: dict(payload, spec=dict(payload["spec"], **fields))
+
+
+# Edits of a generated 8x8, 4-receiver instance.json that leave it unusable.
 BAD_INSTANCE_FILES = [
     pytest.param(lambda payload: 3, id="not-an-object"),
     pytest.param(lambda payload: dict(payload, metadata=[]), id="metadata-list"),
-    pytest.param(
-        lambda payload: dict(payload, spec=dict(payload["spec"], deltas=float("nan"))),
-        id="spec-deltas-nan",
-    ),
+    pytest.param(with_spec(deltas=float("nan")), id="spec-deltas-nan"),
+    pytest.param(with_spec(p_hor=8.0), id="spec-p_hor-float"),
+    pytest.param(with_spec(seed=True), id="spec-seed-bool"),
+    pytest.param(with_spec(basis_family="nope"), id="basis-family-unknown"),
+    pytest.param(with_spec(b_num=65), id="basis-b_num-too-large"),
     *(
         pytest.param(with_deltas(deltas), id=f"deltas-{label}")
         for label, deltas in [
@@ -393,11 +439,13 @@ class TestReconstructCommand:
         assert summary["last_finite_residuals"] == expected
 
     def test_corrupt_exact_data_file_changes_no_output(self, tmp_path, generated):
-        """An older layout, with exact-data files and ``metadata.rho``, loads as before."""
+        """An older layout, with basis and exact-data files and ``metadata.rho``, loads as before."""
         run1 = write_run_config(tmp_path / "run1.json", generated, tmp_path / "rec1")
         run2 = write_run_config(tmp_path / "run2.json", generated, tmp_path / "rec2")
         assert main(["reconstruct", "--config", str(run1)]) == 0
         (generated / "measurements_exact_0.csv").write_text("not,a\nmeasurement file\n")
+        (generated / "basis_0.csv").write_text("not,a\nbasis file\n")
+        io.write_complex_csv(generated / "basis_1.csv", np.ones(3))
         payload = json.loads((generated / "instance.json").read_text())
         payload["metadata"]["rho"] = 3.5
         io.write_json(generated / "instance.json", payload)
@@ -467,6 +515,30 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(run)]) == 4
         assert f"unknown run config fields: ['{field}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("instance", 3),
+            ("method", None),
+            ("tau", "3"),
+            ("tau", True),
+            ("max_cycles", 2.7),
+            ("max_cycles", None),
+            ("max_cycles", True),
+            ("joint", "no"),
+            ("joint", 0),
+            ("eps_stop", None),
+            ("initial_image", 5),
+            ("out", ["rec"]),
+        ],
+    )
+    def test_wrong_run_config_field_type_is_io_error(self, tmp_path, generated, capsys, field, value):
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({"instance": str(generated), "out": str(tmp_path / "rec"), field: value}))
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert f"{run}: run config field '{field}' must be " in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
     def test_missing_instance_is_io_error(self, tmp_path):
         run = write_run_config(tmp_path / "run.json", tmp_path / "ghost", tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run)]) == 4
@@ -493,6 +565,27 @@ class TestProbeConeCommand:
         assert report["linear"]["max_ratio"] <= 1e-10
         assert not report["linear"]["exceeds_half"]
         assert report["joint"]["exceeds_half"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("instance", 3),
+            ("targets", "scalar"),
+            ("targets", ["scalar", 1]),
+            ("samples", "20"),
+            ("samples", 20.0),
+            ("samples", True),
+            ("radius", "1"),
+            ("radius", None),
+            ("seed", 1.5),
+        ],
+    )
+    def test_wrong_probe_config_field_type_is_io_error(self, tmp_path, capsys, field, value):
+        cfgpath = tmp_path / "probe.json"
+        cfgpath.write_text(json.dumps({field: value}))
+        assert main(["probe-cone", "--config", str(cfgpath), "--out", str(tmp_path / "out")]) == 4
+        assert f"{cfgpath}: probe config field '{field}' must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_samples_usage_error(self, tmp_path):
         cfgpath = tmp_path / "probe.json"

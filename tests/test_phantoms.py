@@ -3,6 +3,7 @@ import pytest
 
 import mrikacz as mk
 from mrikacz.errors import ConfigurationError
+from mrikacz.phantoms import _harmonic_order
 
 
 TWO_RECEIVERS = (mk.MeasurementVector(mk.KSpaceMask(mk.GridShape(2, 1), [0, 1]), [1, 2]),) * 2
@@ -31,6 +32,21 @@ class TestMakePhantom:
             mk.make_phantom("shepp", mk.GridShape(2, 2))
 
 
+def harmonic_order_oracle(p_hor, p_ver):
+    """The harmonic order as a Python sort of every (sx, sy) pair on the documented key."""
+    modes = []
+    for kx in range(p_hor):
+        sx = kx if kx <= p_hor // 2 else kx - p_hor
+        for ky in range(p_ver):
+            sy = ky if ky <= p_ver // 2 else ky - p_ver
+            modes.append((sx, sy))
+    modes.sort(key=lambda m: (abs(m[0]) + abs(m[1]), max(abs(m[0]), abs(m[1])), m[0], m[1]))
+    return modes
+
+
+GRIDS = [(1, 1), (1, 7), (2, 2), (5, 4), (6, 9), (36, 36)]
+
+
 class TestMakeBasis:
     def test_constant_single(self):
         (img,) = mk.make_basis("constant", 1, mk.GridShape(2, 2))
@@ -50,6 +66,22 @@ class TestMakeBasis:
         np.testing.assert_allclose(np.abs(mat), 1.0)
         gram = mat @ mat.conj().T / 16
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-12)
+
+    @pytest.mark.parametrize("p_hor, p_ver", GRIDS, ids=[f"{h}x{v}" for h, v in GRIDS])
+    def test_harmonic_order_matches_the_sort_oracle(self, p_hor, p_ver):
+        sx, sy = _harmonic_order(p_hor, p_ver)
+        assert list(zip(sx.tolist(), sy.tolist())) == harmonic_order_oracle(p_hor, p_ver)
+
+    @pytest.mark.parametrize("p_hor, p_ver", GRIDS, ids=[f"{h}x{v}" for h, v in GRIDS])
+    def test_harmonics_bit_identical_to_the_oracle_order(self, p_hor, p_ver):
+        shape = mk.GridShape(p_hor, p_ver)
+        b_num = min(shape.p_num, 9)
+        rows, cols = np.indices((p_ver, p_hor))
+        for img, (sx, sy) in zip(
+            mk.make_basis("harmonics", b_num, shape), harmonic_order_oracle(p_hor, p_ver)[:b_num]
+        ):
+            expected = np.exp(2j * np.pi * (sx * cols / p_hor + sy * rows / p_ver)).ravel()
+            np.testing.assert_array_equal(img.values.view(np.uint64), expected.view(np.uint64))
 
     def test_harmonics_count_capped_by_grid(self):
         with pytest.raises(ConfigurationError):
