@@ -19,8 +19,8 @@ print(
 # The Landweber step needs operators of norm <= 1, so scale operators,
 # data and noise levels of every equation together.
 problem, report = mk.rescale_problem(instance.linear_problem())
-print("operator norms before scaling:", np.round(report.pre_norms, 3))
-print("operator norms after scaling: ", np.round(report.post_norms, 6))
+print("operator norm bounds before scaling:", np.round(report.pre_norms, 3))
+print("operator norm bounds after scaling: ", np.round(report.post_norms, 6))
 
 for method in ("llk", "lsdk"):
     result = mk.run_linear(problem, mk.SolverConfig(method=method), reference=truth)

@@ -34,4 +34,4 @@ print(f"joint operators:      max ratio {joint.max_ratio:.2f} (>= 1/2: {joint.ex
 
 # The derivative itself stays bounded on any ball; size is not the issue.
 x = mk.JointParameter(instance.truth.image, instance.model.coefficients)
-print("derivative norm at the truth:", mk.estimate_derivative_norm(joint_ops[0], x))
+print("derivative norm bound at the truth:", joint_ops[0].derivative_norm_bound(x))

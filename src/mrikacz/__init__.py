@@ -36,7 +36,6 @@ from .operators import (
     ScalarProductModel,
     ScalingReport,
     cone_probe,
-    estimate_derivative_norm,
     estimate_norm,
     joint_from_linear,
     rescale_problem,

@@ -13,6 +13,7 @@ are pinned by dot-product tests rather than trusted symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -32,7 +33,7 @@ from .grid import (
 )
 from .transform import DftPlan, embed
 
-# Defaults for the seeded power iteration (deterministic norm estimates).
+# Defaults for the seeded power iteration of the ``estimate_norm`` diagnostic.
 NORM_SEED = 1905
 NORM_MAX_ITER = 1000
 NORM_RTOL = 1e-6
@@ -79,6 +80,11 @@ class _ReceiverOperator:
     def with_scale(self, scale: float):
         return replace(self, scale=float(scale))
 
+    @property
+    def _transform_bound(self) -> float:
+        """|scale| * ||F||: the unnormalised DFT has norm sqrt(p_num), restriction <= 1."""
+        return abs(self.scale) * math.sqrt(self.plan.p_num)
+
 
 class LinearForward(_ReceiverOperator):
     """Known-sensitivity forward operator of one receiver."""
@@ -103,9 +109,9 @@ class LinearForward(_ReceiverOperator):
         return _fresh(ComplexImage, self.model.grid, self._conj_sensitivity * back * self.scale)
 
     @cached_property
-    def estimated_norm(self) -> float:
-        """Deterministic power-iteration estimate of the spectral norm."""
-        return estimate_norm(self)
+    def norm_bound(self) -> float:
+        """Closed-form upper bound |scale| * sqrt(p_num) * max|S_i| on the spectral norm."""
+        return self._transform_bound * float(np.abs(self.sensitivity.values).max())
 
 
 class JointForward(_ReceiverOperator):
@@ -150,6 +156,20 @@ class JointForward(_ReceiverOperator):
         )
         return _fresh(JointParameter, _fresh(ComplexImage, self.model.grid, image_part), coeff_part)
 
+    def derivative_norm_bound(self, x: JointParameter) -> float:
+        """Upper bound |scale| * sqrt(p_num) * hypot(max|S_i(x)|, b) on ||F_i'(x)||.
+
+        The product rule splits the derivative into dP * S_i(x) and
+        P * (dc_i @ B); by Cauchy-Schwarz the second has norm at most
+        b * ||dc_i|| with b = ||P * colnorm(B)||_2, where P is x's image and
+        colnorm(B)_k the norm of the basis values at pixel k.  At a zero image
+        b = 0, and the bound is the linear operator's :attr:`~LinearForward.norm_bound`.
+        """
+        self._check_point(x)
+        s_max = float(np.abs(self._sensitivity(x)).max())
+        b = float(np.linalg.norm(x.image.values * np.linalg.norm(self.model.basis_matrix, axis=0)))
+        return self._transform_bound * math.hypot(s_max, b)
+
 
 def joint_from_linear(op: LinearForward) -> JointForward:
     """Joint-space view of a linear operator (same model, mask, plan and scale)."""
@@ -164,6 +184,8 @@ def estimate_norm(
 ) -> float:
     """Spectral norm of a linear operator by power iteration on A* A.
 
+    A diagnostic: power iteration approaches the norm from below, so no
+    reconstruct path uses it; they read :attr:`LinearForward.norm_bound`.
     Deterministic for a given seed.  Returns 0.0 for the zero operator.
     """
     if max_iter < 1:
@@ -179,33 +201,6 @@ def estimate_norm(
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
-        if abs(lam_new - lam) <= rtol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(lam))
-
-
-def estimate_derivative_norm(
-    op: JointForward,
-    x: JointParameter,
-    max_iter: int = NORM_MAX_ITER,
-    rtol: float = NORM_RTOL,
-    seed: int = NORM_SEED,
-) -> float:
-    """Norm of the joint operator's derivative at ``x`` (local bound probe)."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = _random_joint(rng, x)
-    v = v * (1.0 / grid.norm(v))
-    lam = 0.0
-    for _ in range(max_iter):
-        w = op.adjoint_derivative(x, op.derivative(x, v))
-        lam_new = grid.norm(w)
-        if lam_new == 0.0:
-            return 0.0
-        v = w * (1.0 / lam_new)
         if abs(lam_new - lam) <= rtol * lam_new:
             lam = lam_new
             break
@@ -232,16 +227,17 @@ class ScalingReport:
 
 
 def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
-    """Scale every operator so its estimated norm is <= 1.
+    """Scale every operator so its norm bound, and hence its norm, is below 1.
 
     Returns the rescaled operators and a report.  Callers must apply the
     same factors to the matching data and noise levels; use
     :func:`rescale_problem` to do the whole instance atomically.  Both
-    norms are each operator's own :attr:`LinearForward.estimated_norm`, so
-    the rescaled operators carry the norm that the llk check reads.
+    norms are each operator's own :attr:`LinearForward.norm_bound`, the
+    value the llk check reads; the (1 + 1e-9) margin keeps rounding from
+    pushing a rescaled bound above 1.
     """
     ops = tuple(ops)
-    pre = np.array([op.estimated_norm for op in ops])
+    pre = np.array([op.norm_bound for op in ops])
     scales = np.ones(len(ops))
     zero = []
     for i, nrm in enumerate(pre):
@@ -250,7 +246,7 @@ def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
         else:
             scales[i] = 1.0 / (nrm * (1.0 + 1e-9))
     new_ops = tuple(op.with_scale(op.scale * c) for op, c in zip(ops, scales))
-    post = np.array([op.estimated_norm for op in new_ops])
+    post = np.array([op.norm_bound for op in new_ops])
     return new_ops, ScalingReport(pre, scales, post, tuple(zero))
 
 

@@ -132,10 +132,12 @@ def make_mask(
 ) -> KSpaceMask:
     """Measured k-space subset.
 
-    ``full`` takes everything; ``rows`` keeps the first ceil(fraction *
-    p_ver) whole grid rows of flat indices (a cartoon of phase-encode
-    subsampling); ``random`` draws uniformly without replacement.  Exactly
-    one of ``p_proj`` / ``fraction`` applies to the latter two families.
+    ``full`` takes everything; ``rows`` keeps leading whole grid rows of
+    flat indices (a cartoon of phase-encode subsampling); ``random`` draws
+    uniformly without replacement.  The latter two need ``p_proj`` or
+    ``fraction``, and ``p_proj`` wins when both are set: ``rows`` rounds it
+    up to whole rows, ceil(p_proj / p_hor), else keeps ceil(fraction *
+    p_ver) rows; ``random`` draws p_proj points, else round(fraction * p_num).
     """
     p_num = shape.p_num
     if family == "full":
@@ -143,9 +145,11 @@ def make_mask(
     if p_proj is None and fraction is None:
         raise ConfigurationError(f"mask family {family!r} needs p_proj or fraction")
     if family == "rows":
-        if fraction is None:
-            fraction = p_proj / p_num
-        n_rows = min(math.ceil(fraction * shape.p_ver), shape.p_ver)
+        if p_proj is not None:
+            n_rows = -(-p_proj // shape.p_hor)
+        else:
+            n_rows = math.ceil(fraction * shape.p_ver)
+        n_rows = min(n_rows, shape.p_ver)
         if n_rows < 1:
             raise ConfigurationError("row mask must keep at least one row")
         return KSpaceMask(shape, np.arange(n_rows * shape.p_hor))

@@ -23,7 +23,7 @@ import numpy as np
 from . import grid
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from .grid import ComplexImage, JointParameter
-from .operators import JointForward, LinearForward, Problem, estimate_derivative_norm
+from .operators import JointForward, LinearForward, Problem
 
 METHOD_LLK = "llk"
 METHOD_LSDK = "lsdk"
@@ -31,10 +31,6 @@ METHOD_LSDK = "lsdk"
 STOPPING_RULE = "stopping-rule"
 CYCLE_CAP = "cycle-cap"
 EXACT_DATA_TOLERANCE = "exact-data-tolerance"
-
-# Estimated norms may exceed the unit bound by at most this much before an
-# unscaled Landweber-type run is rejected.
-UNIT_NORM_SLACK = 1e-6
 
 _CURVATURE_FLOOR = 1e-300
 
@@ -238,19 +234,20 @@ def _check_family(problem: Problem, family: type, run: str):
 def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
     """Reconstruct the image with known sensitivities.
 
-    For ``method="llk"`` every operator must have been rescaled to estimated
-    norm <= 1 (see :func:`mrikacz.operators.rescale_problem`); unscaled
-    operators are rejected.  ``reference`` optionally supplies a known
+    For ``method="llk"`` every operator's closed-form
+    :attr:`~mrikacz.operators.LinearForward.norm_bound` must be <= 1, so the
+    unit-norm hypothesis holds (see :func:`mrikacz.operators.rescale_problem`);
+    unscaled operators are rejected.  ``reference`` optionally supplies a known
     solution whose distance to the iterate is recorded in the trace.
     """
     _check_family(problem, LinearForward, "run_linear")
     ops = problem.operators
     if config.method == METHOD_LLK:
         for i, op in enumerate(ops):
-            if op.estimated_norm > 1.0 + UNIT_NORM_SLACK:
+            if op.norm_bound > 1.0:
                 raise ConfigurationError(
                     f"llk requires operators scaled to unit norm; receiver {i} "
-                    f"has estimated norm {op.estimated_norm:.6g}"
+                    f"has norm bound {op.norm_bound:.6g}"
                 )
     x0 = config.initial_image
     if x0 is None:
@@ -277,9 +274,10 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
     of the derivative supplying the direction.  The bilinear forward map
     violates the tangential-cone bound, so no convergence guarantee is
     attached; the result metadata says so.  For ``method="llk"`` the
-    derivative norm at the initial guess must not exceed 1 (the closest
-    analog of the unit-norm hypothesis that is definable for a nonlinear
-    map).
+    closed-form bound :meth:`~mrikacz.operators.JointForward.derivative_norm_bound`
+    on the derivative norm at the initial guess must not exceed 1 (the
+    closest analog of the unit-norm hypothesis that is definable for a
+    nonlinear map).
     """
     _check_family(problem, JointForward, "run_joint")
     ops = problem.operators
@@ -294,11 +292,11 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
     x0 = JointParameter(image0, coeff0)
     if config.method == METHOD_LLK:
         for i, op in enumerate(ops):
-            nrm = estimate_derivative_norm(op, x0)
-            if nrm > 1.0 + UNIT_NORM_SLACK:
+            bound = op.derivative_norm_bound(x0)
+            if bound > 1.0:
                 raise ConfigurationError(
                     f"llk requires derivative norm <= 1 at the initial guess; "
-                    f"receiver {i} has estimated norm {nrm:.6g}"
+                    f"receiver {i} has derivative norm bound {bound:.6g}"
                 )
     if reference is not None and not isinstance(reference, JointParameter):
         raise ConfigurationError("reference for a joint run must be a JointParameter")

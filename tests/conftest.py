@@ -57,6 +57,17 @@ def op_matrix(op):
     return op.scale * dft_matrix(model.grid.p_num, op.mask.indices) * sensitivity
 
 
+def deriv_matrix(op, x):
+    """Dense Jacobian of a ``JointForward`` at ``x``, column by column over the packed space."""
+    r_num, b_num = x.coefficients.shape
+    dim = x.image.shape.p_num + r_num * b_num
+
+    def apply_packed(vec):
+        return op.derivative(x, joint_unpack(vec, x.image.shape, r_num, b_num)).values
+
+    return linear_matrix(apply_packed, dim)
+
+
 def linear_matrix(apply_fn, dim):
     """Dense matrix of a linear map given column by column."""
     cols = []

@@ -17,7 +17,14 @@ import mrikacz as mk
 from mrikacz.cli import main
 from mrikacz.errors import ConfigurationError
 
-from conftest import dft_matrix, random_image, random_joint, random_measurement
+from conftest import (
+    deriv_matrix,
+    dft_matrix,
+    op_matrix,
+    random_image,
+    random_joint,
+    random_measurement,
+)
 
 
 def _verdict(num, name, ok, note=""):
@@ -384,3 +391,44 @@ def test_c11_determinism(tmp_path):
     for name in ("trace.csv", "result.csv", "result_magnitude.pgm"):
         ok &= (tmp_path / "rec_one" / name).read_bytes() == (tmp_path / "rec_two" / name).read_bytes()
     _verdict(11, "identical seeds reproduce traces and files bit-for-bit", ok)
+
+
+def test_c12_unit_norm_hypothesis_holds_exactly():
+    start = time.perf_counter()
+    worst_post = 0.0
+    worst_ratio = 0.0
+    ok = True
+    for mask_family in ("full", "rows", "random"):
+        for basis_family in ("harmonics", "bumps"):
+            for seed in (1, 2, 3):
+                spec = mk.InstanceSpec(
+                    p_hor=16, p_ver=16, r_num=4, b_num=4, basis_family=basis_family,
+                    mask_family=mask_family, mask_fraction=None if mask_family == "full" else 0.5,
+                    seed=seed,
+                )
+                inst = mk.synthesize(spec)
+                ops, _ = mk.rescale_to_unit(inst.operators)
+                for op in ops:  # the dense SVD norm, not the bound that set the scale
+                    post = np.linalg.svd(op_matrix(op), compute_uv=False)[0]
+                    worst_post = max(worst_post, post)
+                    ok &= post <= 1.0
+                # The derivative bound covers the dense Jacobian's norm at a
+                # random point; at a zero image it can be attained, and only
+                # there may the SVD's rounding exceed it.
+                rng = np.random.default_rng(seed)
+                jop = mk.joint_from_linear(inst.operators[0])
+                x = random_joint(rng, spec.grid, spec.r_num, spec.b_num)
+                x_zero = mk.JointParameter(mk.ComplexImage.zero(spec.grid), x.coefficients)
+                for point, slack in ((x, 0.0), (x_zero, 1e-12)):
+                    sigma = np.linalg.svd(deriv_matrix(jop, point), compute_uv=False)[0]
+                    ratio = sigma / jop.derivative_norm_bound(point)
+                    worst_ratio = max(worst_ratio, ratio)
+                    ok &= ratio <= 1.0 + slack
+    elapsed = time.perf_counter() - start
+    _verdict(
+        12,
+        "unit-norm hypothesis holds for the dense operators",
+        ok and elapsed < 60,
+        f"max rescaled SVD norm {worst_post:.15f}; max Jacobian SVD / bound "
+        f"{worst_ratio:.15f}; {elapsed:.1f}s",
+    )

@@ -547,6 +547,12 @@ class TestReconstructCommand:
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", tau=1.5)
         assert main(["reconstruct", "--config", str(run)]) == 2
 
+    def test_unscaled_joint_llk_is_config_error(self, tmp_path, generated, capsys):
+        # The CLI rescales only linear problems; at the zero image the bound is sqrt(64) * max|b_0|.
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run), "--joint", "--method", "llk"]) == 2
+        assert "receiver 0 has derivative norm bound 8\n" in capsys.readouterr().err
+
 
 class TestProbeConeCommand:
     def test_default_scalar_probe(self, tmp_path):

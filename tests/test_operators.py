@@ -5,10 +5,9 @@ import mrikacz as mk
 from mrikacz.errors import DimensionMismatch
 
 from conftest import (
+    deriv_matrix,
     dft_loop,
     joint_pack,
-    joint_unpack,
-    linear_matrix,
     op_matrix,
     random_image,
     random_joint,
@@ -193,17 +192,8 @@ class TestAdjointDerivativeJoint:
         np.testing.assert_array_equal(out.image.values, np.zeros(4))
         np.testing.assert_array_equal(out.coefficients, [[0]])
 
-    def deriv_matrix(self, op, x, r_num, b_num):
-        dim = x.image.shape.p_num + r_num * b_num
-
-        def apply_packed(vec):
-            dx = joint_unpack(vec, x.image.shape, r_num, b_num)
-            return op.derivative(x, dx).values
-
-        return linear_matrix(apply_packed, dim)
-
     def test_coefficient_entry_against_matrix_oracle(self):
-        matrix = self.deriv_matrix(self.op, self.x, 1, 1)
+        matrix = deriv_matrix(self.op, self.x)
         g = np.array([1, 0, 0, 0], dtype=complex)
         expected = matrix.conj().T @ g
         out = self.op.adjoint_derivative(self.x, mk.MeasurementVector(FULL4, g))
@@ -245,21 +235,34 @@ class TestEstimateNorm:
         op = default_instance.operators[0]
         assert mk.estimate_norm(op) == mk.estimate_norm(op)
 
+
+class TestNormBound:
+    def test_linear_bound_covers_svd(self, tiny_unit_op, default_instance):
+        # On a full mask F / sqrt(p_num) is unitary, so the bound is the norm
+        # and only the dense SVD's rounding separates them.
+        for op in (tiny_unit_op, two_basis_op(coeff=(0.3 - 0.8j, 1.1), scale=0.9)):
+            sigma = np.linalg.svd(op_matrix(op), compute_uv=False)[0]
+            assert sigma == pytest.approx(op.norm_bound, rel=1e-12)
+        assert tiny_unit_op.norm_bound == 2.0
+        for op in default_instance.operators[:2]:
+            sigma = np.linalg.svd(op_matrix(op), compute_uv=False)[0]
+            assert sigma <= op.norm_bound
+
     def test_derivative_norm_zero_at_origin(self):
         op = unit_joint_op()
         x0 = mk.JointParameter.zero(SHAPE2, 1, 1)
-        assert mk.estimate_derivative_norm(op, x0) == 0.0
+        assert op.derivative_norm_bound(x0) == 0.0
 
-    def test_derivative_norm_matches_svd(self):
+    def test_derivative_norm_bound_covers_svd(self):
         op = unit_joint_op()
         x = mk.JointParameter(mk.ComplexImage(SHAPE2, [1, 1j, -1, 0.5]), [[0.4 + 0.2j]])
-        helper = TestAdjointDerivativeJoint()
-        sigma = np.linalg.svd(helper.deriv_matrix(op, x, 1, 1), compute_uv=False)[0]
-        assert mk.estimate_derivative_norm(op, x) == pytest.approx(sigma, rel=1e-5)
+        # A full mask and one constant basis image make the bound tight here.
+        sigma = np.linalg.svd(deriv_matrix(op, x), compute_uv=False)[0]
+        assert sigma == pytest.approx(op.derivative_norm_bound(x), rel=1e-12)
 
     def test_derivative_norm_bounded_on_ball(self, default_instance):
-        # Local boundedness probe: derivative norms at sampled points of a
-        # ball stay finite and under a crude global bound for the ball.
+        # At sampled points of a ball the bound stays finite and covers the
+        # dense Jacobian's largest singular value.
         rng = np.random.default_rng(47)
         jop = mk.joint_from_linear(default_instance.operators[0])
         shape = default_instance.spec.grid
@@ -268,8 +271,9 @@ class TestEstimateNorm:
         for _ in range(3):
             probe = random_joint(rng, shape, r_num, b_num)
             point = center + probe * (1.0 / mk.norm(probe))
-            nrm = mk.estimate_derivative_norm(jop, point)
-            assert np.isfinite(nrm) and nrm > 0
+            bound = jop.derivative_norm_bound(point)
+            sigma = np.linalg.svd(deriv_matrix(jop, point), compute_uv=False)[0]
+            assert np.isfinite(bound) and 0 < sigma <= bound
 
 
 class TestRescale:

@@ -126,6 +126,18 @@ class TestMakeMask:
         mask = mk.make_mask("rows", mk.GridShape(4, 4), fraction=0.5)
         np.testing.assert_array_equal(mask.indices, np.arange(8))
 
+    @pytest.mark.parametrize("family", ["random", "rows"])
+    def test_p_proj_wins_over_fraction(self, family):
+        # fraction=0.5 alone keeps half the points, and InstanceSpec's
+        # mask_fraction defaults to 0.5.
+        assert mk.make_mask(family, mk.GridShape(4, 8), p_proj=8, fraction=0.5).p_proj == 8
+        spec = mk.InstanceSpec(p_hor=8, p_ver=8, mask_family=family, p_proj=8)
+        assert mk.synthesize(spec).mask.p_proj == 8
+
+    def test_rows_round_p_proj_up_to_whole_rows(self):
+        mask = mk.make_mask("rows", mk.GridShape(4, 8), p_proj=5)
+        np.testing.assert_array_equal(mask.indices, np.arange(8))
+
     def test_p_proj_out_of_range(self):
         with pytest.raises(ConfigurationError):
             mk.make_mask("random", mk.GridShape(2, 2), p_proj=5)

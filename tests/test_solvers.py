@@ -131,7 +131,7 @@ class TestRunLinear:
         result = mk.run_linear(scaled, mk.SolverConfig(method="llk"))
         assert calls == []
         assert result.reason == mk.STOPPING_RULE
-        assert [op.estimated_norm for op in scaled.operators] == list(report.post_norms)
+        assert [op.norm_bound for op in scaled.operators] == list(report.post_norms)
 
     def test_llk_rejects_unscaled_operators(self):
         problem, _ = unit_problem([1, 1j, -1, -1j], deltas=(0.1,), noise_seed=7)
@@ -284,8 +284,26 @@ class TestRunJoint:
         config = mk.SolverConfig(
             method="llk", initial_image=truth.image, initial_coefficients=truth.coefficients
         )
-        with pytest.raises(ConfigurationError):
+        # S = 1 and b = ||P * colnorm(B)|| = 2, so the bound is sqrt(4) * hypot(1, 2).
+        with pytest.raises(ConfigurationError, match="receiver 0 has derivative norm bound 4.47214"):
             mk.run_joint(problem, config)
+
+    def test_llk_accepts_operators_scaled_by_their_bound(self):
+        instance = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, deltas=0.05, seed=21))
+        problem = instance.joint_problem()
+        coeff0 = np.zeros((problem.r_num, 2))
+        coeff0[:, 0] = 1.0
+        x0 = mk.JointParameter(mk.ComplexImage.zero(instance.spec.grid), coeff0)
+        scales = [1.0 / (op.derivative_norm_bound(x0) * (1 + 1e-9)) for op in problem.operators]
+        ops = tuple(op.with_scale(c) for op, c in zip(problem.operators, scales))
+        scaled = mk.Problem(ops, problem.measurements.scaled(scales))
+        assert all(op.derivative_norm_bound(x0) <= 1.0 for op in ops)
+        result = mk.run_joint(scaled, mk.SolverConfig(method="llk", max_cycles=20))
+        final = max(
+            mk.norm(op.apply(result.final) - scaled.measurements.vectors[i])
+            for i, op in enumerate(ops)
+        )
+        assert final < result.metadata["initial_max_residual"]
 
     def test_generic_instance_reduces_residual(self):
         spec = mk.InstanceSpec(
