@@ -17,8 +17,7 @@ memory with none of the operands.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +36,11 @@ def _frozen_complex(values, length, what):
 
 
 def _fresh(cls, first, values):
-    """``cls(first, values)`` for an array the library allocated one line earlier.
+    """``cls(first, values)`` for an array that nothing can write to once adopted.
 
-    ``values`` must be a new array of the right shape that nothing else
-    references; it is marked read-only and adopted without the public
+    ``values`` must have the right shape and be either a new array the
+    library allocated one line earlier, or a view into a read-only array the
+    library owns; it is marked read-only and adopted without the public
     constructor's copy and checks.  A scalar factor of another kind (a
     ``longdouble``, say) can give another dtype; such a result is converted
     as the public constructor would convert it.
@@ -245,10 +245,14 @@ class SensitivityModel:
 
     ``basis`` holds the ``b_num`` basis images; ``coefficients`` is the
     (r_num, b_num) complex array whose row j gives receiver j's expansion.
+    The basis is held once: ``basis_matrix`` is the read-only (b_num, p_num)
+    stack of the images, copied from those passed in, and each image of
+    ``basis`` is a read-only view of one of its rows.
     """
 
     basis: tuple[ComplexImage, ...]
     coefficients: np.ndarray
+    basis_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -264,7 +268,11 @@ class SensitivityModel:
             )
         coeff = coeff.copy()
         coeff.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        mat = np.stack([b.values for b in basis])
+        mat.flags.writeable = False
+        object.__setattr__(self, "basis_matrix", mat)
+        rows = tuple(_fresh(ComplexImage, basis[0].shape, row) for row in mat)
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "coefficients", coeff)
 
     @property
@@ -278,13 +286,6 @@ class SensitivityModel:
     @property
     def r_num(self) -> int:
         return int(self.coefficients.shape[0])
-
-    @cached_property
-    def basis_matrix(self) -> np.ndarray:
-        """(b_num, p_num) stack of the basis images."""
-        mat = np.stack([b.values for b in self.basis])
-        mat.flags.writeable = False
-        return mat
 
     def materialize(self, receiver: int) -> ComplexImage:
         """Sum the basis with receiver ``receiver``'s coefficients."""

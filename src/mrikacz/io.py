@@ -3,8 +3,9 @@
 An instance directory holds only what its spec cannot rebuild: the spec
 and noise levels (``instance.json``), the ground truth, mask, coefficients
 and noisy data.  Loading rebuilds the sensitivity basis from the spec
-(:func:`mrikacz.phantoms.make_basis`) and derives the exact data from the
-loaded operators.
+(:func:`mrikacz.phantoms.make_basis`); the exact data are derived from the
+loaded operators on first use (:attr:`mrikacz.phantoms.GroundTruth.exact`),
+so a reconstruction, which never reads them, never computes them.
 
 Complex vectors go to CSV with one value per row as (index, re, im); masks
 are index lists; specs, summaries and reports are JSON.  Floats are written
@@ -27,7 +28,9 @@ reading:
 A file that breaks the format raises :class:`FileFormatError` naming the
 file and, where a line is at fault, its number.
 
-A table's body is parsed in one ``numpy.loadtxt`` pass.  Only a body that
+A table is written a block of rows at a time, so a write holds a fixed
+number of rows as Python objects however long the table is.  A table's body
+is parsed in one ``numpy.loadtxt`` pass.  Only a body that
 loadtxt declines, or would read otherwise than the format says, goes through
 the row-by-row checks; they accept exactly what the format accepts and name
 the first faulty line.  Both give the same arrays, bit for bit.
@@ -51,7 +54,7 @@ from .grid import (
     SensitivityModel,
 )
 from .operators import LinearForward
-from .phantoms import GroundTruth, Instance, InstanceSpec, exact_data, make_basis
+from .phantoms import GroundTruth, Instance, InstanceSpec, make_basis
 from .solvers import IterationTrace
 from .transform import DftPlan
 
@@ -132,13 +135,20 @@ _TRACE = (
 _TRACE_ERROR = ("error_to_truth", _FLOAT)
 
 
+# Rows formatted per write: a table write holds this many rows as Python
+# objects at a time, however long the table.
+_WRITE_BLOCK_ROWS = 2048
+
+
 def _write_table(path, table, columns):
-    """Write ``table``'s header, then one row per element of the columns."""
+    """Write ``table``'s header, then one row per element of the columns, in blocks of rows."""
     row = ",".join("{}" if kind is _INT else "{!r}" for _, kind in table) + "\n"
-    values = [np.asarray(col, dtype=kind).tolist() for (_, kind), col in zip(table, columns)]
+    columns = [np.asarray(col, dtype=kind) for (_, kind), col in zip(table, columns)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(name for name, _ in table) + "\n")
-        fh.write("".join(map(row.format, *values)))
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [col[start : start + _WRITE_BLOCK_ROWS].tolist() for col in columns]
+            fh.write("".join(map(row.format, *block)))
 
 
 def _parse(path, lineno, text, kind, what):
@@ -340,7 +350,7 @@ def write_pgm(path, image: ComplexImage):
     with open(path, "w") as fh:
         fh.write(f"P2\n{image.shape.p_hor} {image.shape.p_ver}\n255\n")
         for row in levels:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def write_json(path, payload: dict):
@@ -429,8 +439,8 @@ def load_instance(instance_dir) -> Instance:
     ``coefficients.csv`` and ``measurements_<i>.csv``.  The basis is built
     from the spec (:func:`mrikacz.phantoms.make_basis`); a spec it cannot be
     built from is a fault of ``instance.json``.  The exact data are derived
-    from the loaded operators and ground truth
-    (:func:`mrikacz.phantoms.exact_data`, as ``synthesize`` makes them).
+    from the loaded operators and ground truth on first use
+    (:attr:`mrikacz.phantoms.GroundTruth.exact`, as ``synthesize`` makes them).
     Anything else in the directory, such as the ``basis_<n>.csv`` and
     ``measurements_exact_<i>.csv`` files and ``metadata.rho`` of older
     layouts, is ignored.
@@ -457,6 +467,7 @@ def load_instance(instance_dir) -> Instance:
     mask = read_mask_csv(d / "mask.csv", shape)
     coeff = read_coefficients_csv(d / "coefficients.csv", spec.r_num, spec.b_num)
     model = SensitivityModel(basis, coeff)
+    del basis  # the model holds its own copy, and the basis images are views of it
     plan = DftPlan(shape.p_num)
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
 
@@ -465,7 +476,7 @@ def load_instance(instance_dir) -> Instance:
         noisy = MeasurementSet(vectors, deltas)
     except (ValueError, OverflowError) as exc:
         raise FileFormatError(meta_path, f"metadata.deltas_absolute: {exc}") from None
-    truth = GroundTruth(image=image, exact=exact_data(operators, image))
+    truth = GroundTruth(image=image, operators=operators)
     return Instance(
         spec=spec, truth=truth, model=model, mask=mask, operators=operators, measurements=noisy
     )

@@ -93,10 +93,6 @@ class LinearForward(_ReceiverOperator):
     def sensitivity(self) -> ComplexImage:
         return self.model.materialize(self.receiver)
 
-    @cached_property
-    def _conj_sensitivity(self) -> np.ndarray:
-        return np.conj(self.sensitivity.values)
-
     def apply(self, image: ComplexImage) -> MeasurementVector:
         if image.shape != self.model.grid:
             raise DimensionMismatch("image grid does not match the operator")
@@ -106,7 +102,7 @@ class LinearForward(_ReceiverOperator):
 
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
         back = _back(self.plan, self.mask, data)
-        return _fresh(ComplexImage, self.model.grid, self._conj_sensitivity * back * self.scale)
+        return _fresh(ComplexImage, self.model.grid, np.conj(self.sensitivity.values) * back * self.scale)
 
     @cached_property
     def norm_bound(self) -> float:

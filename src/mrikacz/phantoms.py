@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -211,13 +212,19 @@ class InstanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """The exact image and its noise-free data (:func:`exact_data`).
+    """The exact image and the receiver operators that map it to its noise-free data.
 
-    The exact coefficients are the instance's ``model.coefficients``.
+    :attr:`exact` is derived on first use and kept.  The exact coefficients
+    are the instance's ``model.coefficients``.
     """
 
     image: ComplexImage
-    exact: MeasurementSet
+    operators: tuple[LinearForward, ...]
+
+    @cached_property
+    def exact(self) -> MeasurementSet:
+        """The noise-free data of every receiver (:func:`exact_data`)."""
+        return exact_data(self.operators, self.image)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +272,9 @@ def calibrated_noise(exact: MeasurementSet, deltas, seed=0) -> MeasurementSet:
 def exact_data(operators, image: ComplexImage) -> MeasurementSet:
     """Noise-free data of every receiver: each operator applied to ``image``.
 
-    The one definition of exact data, shared by :func:`synthesize` and
-    :func:`mrikacz.io.load_instance`.
+    The one definition of exact data, read through :attr:`GroundTruth.exact`
+    by instances that :func:`synthesize` makes and
+    :func:`mrikacz.io.load_instance` loads.
     """
     return MeasurementSet(tuple(op.apply(image) for op in operators), np.zeros(len(operators)))
 
@@ -281,7 +289,6 @@ def synthesize(spec: InstanceSpec) -> Instance:
     seed_phantom, seed_mask, seed_coeff, seed_noise = np.random.SeedSequence(spec.seed).spawn(4)
     shape = spec.grid
     image = make_phantom(spec.phantom_family, shape, seed_phantom)
-    basis = make_basis(spec.basis_family, spec.b_num, shape)
     mask = make_mask(spec.mask_family, shape, p_proj=spec.p_proj, fraction=spec.mask_fraction, seed=seed_mask)
     plan = DftPlan(shape.p_num)
 
@@ -292,17 +299,16 @@ def synthesize(spec: InstanceSpec) -> Instance:
     # Unit coefficient rows pin the bilinear scaling ambiguity
     # (c * image, coeff / c) of the joint problem.
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    model = SensitivityModel(basis, coeff)
+    model = SensitivityModel(make_basis(spec.basis_family, spec.b_num, shape), coeff)
 
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
-    exact = exact_data(operators, image)
+    truth = GroundTruth(image=image, operators=operators)
+    exact = truth.exact
 
     deltas = np.asarray(spec.deltas, dtype=np.float64)
     if spec.delta_mode == DELTA_RELATIVE:
         deltas = deltas * np.array([np.linalg.norm(v.values) for v in exact.vectors])
     noisy = calibrated_noise(exact, deltas, seed_noise)
-
-    truth = GroundTruth(image=image, exact=exact)
     return Instance(spec=spec, truth=truth, model=model, mask=mask, operators=operators, measurements=noisy)
 
 

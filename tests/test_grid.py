@@ -143,6 +143,17 @@ class TestSensitivityModel:
         twice = self.make_two_basis_model(2 * coeff).materialize(0)
         np.testing.assert_array_equal(twice.values, 2 * once.values)
 
+    def test_basis_is_held_once_and_read_only(self):
+        shape = mk.GridShape(2, 2)
+        given = (mk.ComplexImage.constant(shape, 1.0), mk.ComplexImage(shape, [1, 0, 0, 0]))
+        model = mk.SensitivityModel(given, [[1.0, 1.0]])
+        assert not model.basis_matrix.flags.writeable
+        for n, (held, passed) in enumerate(zip(model.basis, given)):
+            assert np.shares_memory(held.values, model.basis_matrix[n])
+            assert not np.shares_memory(held.values, passed.values)
+            assert not held.values.flags.writeable
+            np.testing.assert_array_equal(held.values, passed.values)
+
     def test_basis_grids_must_match(self):
         with pytest.raises(DimensionMismatch):
             mk.SensitivityModel(

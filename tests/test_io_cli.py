@@ -156,6 +156,24 @@ class TestInstanceRoundTrip:
             np.testing.assert_array_equal(derived.values.view(np.uint64), made.values.view(np.uint64))
         np.testing.assert_array_equal(loaded.truth.exact.deltas, np.zeros(spec.r_num))
 
+    def test_load_derives_exact_data_on_first_use(self, tmp_path, monkeypatch):
+        inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=3, b_num=2, seed=77))
+        io.write_instance(inst, tmp_path)
+        calls = []
+        forward = mk.DftPlan.forward_values
+
+        def counted(plan, values):
+            calls.append(plan)
+            return forward(plan, values)
+
+        monkeypatch.setattr(mk.DftPlan, "forward_values", counted)
+        loaded = io.load_instance(tmp_path)
+        assert calls == []
+        exact = loaded.truth.exact
+        assert len(calls) == 3
+        assert loaded.truth.exact is exact
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("name, edit, line, fragment", CORRUPTIONS)
     def test_corrupt_csv_reports_line(self, tmp_path, name, edit, line, fragment):
         inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
@@ -191,13 +209,8 @@ class TestPgm:
         img = mk.ComplexImage(mk.GridShape(2, 2), [0, 3j, -4, 2 + 2j])
         path = tmp_path / "out.pgm"
         io.write_pgm(path, img)
-        text = path.read_text().splitlines()
-        assert text[0] == "P2"
-        assert text[1] == "2 2"
-        assert text[2] == "255"
         # max modulus 4 maps to 255; 3 -> round(191.25); |2+2i| -> round(180.3)
-        assert text[3].split() == ["0", "191"]
-        assert text[4].split() == ["255", "180"]
+        assert path.read_bytes() == b"P2\n2 2\n255\n0 191\n255 180\n"
 
     def test_zero_image(self, tmp_path):
         img = mk.ComplexImage.zero(mk.GridShape(2, 1))

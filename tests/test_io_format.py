@@ -8,6 +8,7 @@ reader must give back the written floats bit for bit.
 
 import csv
 import io as stdio
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,28 @@ def test_writers_match_reference_and_round_trip_bits(tmp_path_factory, data, n):
     path = tmp_path_factory.mktemp("oracle") / "table.csv"
     for back, written in zip(check_writers(path, case), (values, values, case.coefficients)):
         np.testing.assert_array_equal(bits(back), bits(written))
+
+
+def test_writers_match_reference_across_write_blocks(tmp_path):
+    # The property test above writes at most 24 rows, all in one block.
+    n = 2 * io._WRITE_BLOCK_ROWS + 3
+    rng = np.random.default_rng(14)
+    values = complex_array(np.resize(SPECIAL, n), rng.standard_normal(n))
+    case = Case(values, np.arange(n) * 3 + 1, 1, True)
+    for back, written in zip(check_writers(tmp_path / "table.csv", case), (values, values, case.coefficients)):
+        np.testing.assert_array_equal(bits(back), bits(written))
+
+
+def test_table_write_holds_a_bounded_number_of_rows(tmp_path):
+    rng = np.random.default_rng(16)
+    values = complex_array(rng.standard_normal(2**16), rng.standard_normal(2**16))  # 1 MiB
+    tracemalloc.start()
+    try:
+        io.write_complex_csv(tmp_path / "table.csv", values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("nan_bits", [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001])
