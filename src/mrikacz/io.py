@@ -7,17 +7,19 @@ and noisy data.  Loading rebuilds the sensitivity basis from the spec
 loaded operators on first use (:attr:`mrikacz.phantoms.GroundTruth.exact`),
 so a reconstruction, which never reads them, never computes them.
 
-Complex vectors go to CSV with one value per row as (index, re, im); masks
-are index lists; specs, summaries and reports are JSON.  Floats are written
-with ``repr`` so every file round-trips bit-exactly, and regeneration with
-the same seed is byte-identical.
+Each receiver's noisy data, the solver's bulk input, is a binary ``.npy``
+table (:func:`write_measurements_npy`); every other complex vector goes to
+CSV with one value per row as (index, re, im); masks are index lists; specs,
+summaries and reports are JSON.  Floats are written with ``repr`` or as
+their IEEE bytes, so every file round-trips bit-exactly, and regeneration
+with the same seed is byte-identical.
 
 Every CSV file is a table in one text format, the same for writing and
 reading:
 
 - the first line is the header, exactly as written (``index,re,im``,
-  ``index``, ``receiver,n,re,im``, ``t,index,re,im`` or
-  ``k,receiver,omega,alpha,residual[,error_to_truth]``);
+  ``index``, ``receiver,n,re,im``, ``t,index,re,im`` for format-1 receiver
+  data, or ``k,receiver,omega,alpha,residual[,error_to_truth]``);
 - then one row per value, every line ended by ``\\n`` (a missing final
   ``\\n`` is accepted), with no blank lines;
 - fields are separated by ``,`` with no quoting;
@@ -58,7 +60,7 @@ from .phantoms import GroundTruth, Instance, InstanceSpec, make_basis
 from .solvers import IterationTrace
 from .transform import DftPlan
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _is_number(value) -> bool:
@@ -295,6 +297,11 @@ def read_mask_csv(path, shape: GridShape) -> KSpaceMask:
 
 
 def write_measurements_csv(path, vector: MeasurementVector):
+    """Receiver data as a ``t,index,re,im`` table: the format-1 layout.
+
+    ``write_instance`` no longer calls it; :func:`load_instance` still reads
+    such tables from format-1 directories.
+    """
     values = vector.values
     _write_table(
         path,
@@ -313,6 +320,55 @@ def read_measurements_csv(path, mask: KSpaceMask) -> MeasurementVector:
         lambda pos: f"row disagrees with mask: t={t[pos]}, index={index[pos]}",
     )
     return MeasurementVector(mask, _complex(re, im))
+
+
+# Row type of a measurements_<i>.npy table: one row per measured point.
+_MEASUREMENTS_DTYPE = np.dtype([("index", "<i8"), ("value", "<c16")])
+
+
+def write_measurements_npy(path, vector: MeasurementVector):
+    """Receiver data as a ``.npy`` table of (index, value) rows in ``mask.indices`` order."""
+    table = np.empty(vector.mask.p_proj, dtype=_MEASUREMENTS_DTYPE)
+    table["index"] = vector.mask.indices
+    table["value"] = vector.values
+    with open(path, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
+
+
+def read_measurements_npy(path, mask: KSpaceMask) -> MeasurementVector:
+    """The receiver data in a :func:`write_measurements_npy` file, checked against ``mask``."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FileFormatError(path, f"cannot open: {exc.strerror}") from exc
+    with fh:
+        try:
+            table = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError) as exc:
+            raise FileFormatError(path, f"not a .npy table: {exc}") from None
+        if not isinstance(table, np.ndarray):
+            raise FileFormatError(path, "not a .npy table: an .npz archive")
+        if fh.read(1):
+            raise FileFormatError(path, "data beyond the end of the table")
+    if table.dtype != _MEASUREMENTS_DTYPE:
+        raise FileFormatError(
+            path, f"expected dtype {_MEASUREMENTS_DTYPE.descr}, got {table.dtype.descr}"
+        )
+    if table.shape != (mask.p_proj,):
+        raise FileFormatError(path, f"expected {mask.p_proj} rows, got shape {table.shape}")
+    index = table["index"]
+    bad = np.flatnonzero(index != mask.indices)
+    if bad.size:
+        pos = int(bad[0])
+        raise FileFormatError(path, f"row {pos} disagrees with mask: index={index[pos]}")
+    return MeasurementVector(mask, table["value"])
+
+
+# File name and reader of receiver i's noisy data, by metadata.format_version.
+_MEASUREMENT_FILES = {
+    1: ("measurements_{}.csv", read_measurements_csv),
+    2: ("measurements_{}.npy", read_measurements_npy),
+}
 
 
 def write_coefficients_csv(path, coefficients: np.ndarray):
@@ -427,19 +483,24 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
     _w("mask.csv", write_mask_csv, instance.mask)
     _w("coefficients.csv", write_coefficients_csv, instance.model.coefficients)
     for i in range(spec.r_num):
-        _w(f"measurements_{i}.csv", write_measurements_csv, instance.measurements.vectors[i])
+        _w(f"measurements_{i}.npy", write_measurements_npy, instance.measurements.vectors[i])
     return written
 
 
 def load_instance(instance_dir) -> Instance:
     """Rebuild an :class:`Instance` from a directory written by ``write_instance``.
 
-    Reads every file ``write_instance`` writes: ``instance.json`` (the spec
-    and ``metadata.deltas_absolute``), ``ground_truth.csv``, ``mask.csv``,
-    ``coefficients.csv`` and ``measurements_<i>.csv``.  The basis is built
-    from the spec (:func:`mrikacz.phantoms.make_basis`); a spec it cannot be
-    built from is a fault of ``instance.json``.  The exact data are derived
-    from the loaded operators and ground truth on first use
+    Reads every file ``write_instance`` writes: ``instance.json`` (the spec,
+    ``metadata.format_version`` and ``metadata.deltas_absolute``),
+    ``ground_truth.csv``, ``mask.csv``, ``coefficients.csv`` and each
+    receiver's noisy data.  Format 2 holds those as ``measurements_<i>.npy``
+    (:func:`read_measurements_npy`); format 1, written by older versions, as
+    ``measurements_<i>.csv`` (:func:`read_measurements_csv`), and both load
+    the same values bit for bit.  Any other format version is a fault of
+    ``instance.json``.  The basis is built from the spec
+    (:func:`mrikacz.phantoms.make_basis`); a spec it cannot be built from is
+    a fault of ``instance.json``.  The exact data are derived from the
+    loaded operators and ground truth on first use
     (:attr:`mrikacz.phantoms.GroundTruth.exact`, as ``synthesize`` makes them).
     Anything else in the directory, such as the ``basis_<n>.csv`` and
     ``measurements_exact_<i>.csv`` files and ``metadata.rho`` of older
@@ -454,7 +515,16 @@ def load_instance(instance_dir) -> Instance:
         raise FileFormatError(meta_path, "missing 'spec' or 'metadata' section")
     spec = spec_from_dict(payload["spec"], meta_path)
     meta = payload["metadata"]
-    deltas = meta.get("deltas_absolute") if isinstance(meta, dict) else None
+    if not isinstance(meta, dict):
+        raise FileFormatError(meta_path, "metadata must be a JSON object")
+    version = meta.get("format_version")
+    # A bool equals 0 or 1, so the type is tested before the lookup.
+    if type(version) is not int or version not in _MEASUREMENT_FILES:
+        raise FileFormatError(
+            meta_path, f"metadata.format_version must be one of {list(_MEASUREMENT_FILES)}, got {version!r}"
+        )
+    measurements_name, read_measurements = _MEASUREMENT_FILES[version]
+    deltas = meta.get("deltas_absolute")
     if not isinstance(deltas, list) or not all(map(_is_number, deltas)):
         raise FileFormatError(meta_path, "metadata.deltas_absolute must be a list of numbers")
     shape = spec.grid
@@ -471,7 +541,9 @@ def load_instance(instance_dir) -> Instance:
     plan = DftPlan(shape.p_num)
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
 
-    vectors = tuple(read_measurements_csv(d / f"measurements_{i}.csv", mask) for i in range(spec.r_num))
+    vectors = tuple(
+        read_measurements(d / measurements_name.format(i), mask) for i in range(spec.r_num)
+    )
     try:
         noisy = MeasurementSet(vectors, deltas)
     except (ValueError, OverflowError) as exc:

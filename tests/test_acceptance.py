@@ -386,7 +386,7 @@ def test_c11_determinism(tmp_path):
             json.dumps({"instance": str(tmp_path / f"inst_{tag}"), "out": str(tmp_path / f"rec_{tag}")})
         )
         main(["reconstruct", "--config", str(run_cfg)])
-    for name in ("ground_truth.csv", "mask.csv", "measurements_0.csv"):
+    for name in ("ground_truth.csv", "mask.csv", "measurements_0.npy"):
         ok &= (tmp_path / "inst_one" / name).read_bytes() == (tmp_path / "inst_two" / name).read_bytes()
     for name in ("trace.csv", "result.csv", "result_magnitude.pgm"):
         ok &= (tmp_path / "rec_one" / name).read_bytes() == (tmp_path / "rec_two" / name).read_bytes()

@@ -1,4 +1,7 @@
 import json
+import pickle
+import struct
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +81,25 @@ def repeat_last(lines):
     return lines + lines[-1:]
 
 
+def to_format_1(directory):
+    """Rewrite an instance directory in format 1, with ``measurements_<i>.csv`` tables.
+
+    Returns the instance loaded before the rewrite.
+    """
+    instance = io.load_instance(directory)
+    for i, vector in enumerate(instance.measurements.vectors):
+        io.write_measurements_csv(directory / f"measurements_{i}.csv", vector)
+        (directory / f"measurements_{i}.npy").unlink()
+    path = directory / "instance.json"
+    payload = json.loads(path.read_text())
+    payload["metadata"]["format_version"] = 1
+    io.write_json(path, payload)
+    return instance
+
+
 # Columns of the four CSV readers' files in an 8x8, r_num=2, b_num=2 instance
-# (64 image rows, 4 coefficient rows, 32 mask and measurement rows).
+# (64 image rows, 4 coefficient rows, 32 mask and measurement rows); the
+# measurement table is that of the instance rewritten in format 1.
 GT, MASK, COEF, MEAS = "ground_truth.csv", "mask.csv", "coefficients.csv", "measurements_0.csv"
 CSV_COLUMNS = {
     GT: ("index", "re", "im"),
@@ -178,6 +198,8 @@ class TestInstanceRoundTrip:
     def test_corrupt_csv_reports_line(self, tmp_path, name, edit, line, fragment):
         inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
         io.write_instance(inst, tmp_path)
+        if name == MEAS:
+            to_format_1(tmp_path)
         target = tmp_path / name
         edit_file(target, edit)
         with pytest.raises(FileFormatError) as err:
@@ -230,7 +252,7 @@ class TestGenerateCommand:
             "ground_truth.csv",
             "mask.csv",
             "coefficients.csv",
-            *(f"measurements_{i}.csv" for i in range(4)),
+            *(f"measurements_{i}.npy" for i in range(4)),
         }
 
     def test_zero_noise_files_byte_identical(self, tmp_path):
@@ -322,13 +344,13 @@ def write_run_config(path, instance, out, **overrides):
     return path
 
 
-def with_deltas(deltas):
-    """An edit of ``instance.json`` that sets ``metadata.deltas_absolute``, or drops it for None."""
+def with_metadata(name, value):
+    """An edit of ``instance.json`` that sets ``metadata.<name>``, or drops it for None."""
 
     def edit(payload):
-        meta = dict(payload["metadata"], deltas_absolute=deltas)
-        if deltas is None:
-            del meta["deltas_absolute"]
+        meta = dict(payload["metadata"], **{name: value})
+        if value is None:
+            del meta[name]
         return dict(payload, metadata=meta)
 
     return edit
@@ -349,7 +371,11 @@ BAD_INSTANCE_FILES = [
     pytest.param(with_spec(basis_family="nope"), id="basis-family-unknown"),
     pytest.param(with_spec(b_num=65), id="basis-b_num-too-large"),
     *(
-        pytest.param(with_deltas(deltas), id=f"deltas-{label}")
+        pytest.param(with_metadata("format_version", version), id=f"format-version-{label}")
+        for label, version in [("missing", None), ("3", 3), ("string", "2"), ("bool", True)]
+    ),
+    *(
+        pytest.param(with_metadata("deltas_absolute", deltas), id=f"deltas-{label}")
         for label, deltas in [
             ("missing", None),
             ("number", 0.1),
@@ -364,6 +390,115 @@ BAD_INSTANCE_FILES = [
         ]
     ),
 ]
+
+
+def npy_bytes(array, **save):
+    buf = BytesIO()
+    np.save(buf, array, **save)
+    return buf.getvalue()
+
+
+def npz_bytes(array):
+    buf = BytesIO()
+    np.savez(buf, array)
+    return buf.getvalue()
+
+
+def garbage_header(data):
+    end = data.index(b"\n") + 1
+    return data[:10] + b"?" * (end - 11) + b"\n" + data[end:]
+
+
+def with_index(table, row, index):
+    table = table.copy()
+    table["index"][row] = index
+    return npy_bytes(table)
+
+
+# Rewrites of a generated 8x8 instance's measurements_0.npy (32 rows), a
+# function of its bytes and its table, that leave it unusable; and a fragment
+# of the message.
+NPY_FAULTS = [
+    pytest.param(lambda data, table: b"", "not a .npy table", id="empty"),
+    pytest.param(lambda data, table: data[:-8], "not a .npy table", id="truncated"),
+    pytest.param(lambda data, table: garbage_header(data), "not a .npy table", id="garbage-header"),
+    pytest.param(
+        lambda data, table: npy_bytes(table.astype(object), allow_pickle=True),
+        "not a .npy table",
+        id="object-array",
+    ),
+    pytest.param(lambda data, table: pickle.dumps(table), "not a .npy table", id="pickle"),
+    pytest.param(lambda data, table: npz_bytes(table), "an .npz archive", id="npz"),
+    pytest.param(lambda data, table: data + b"\0", "data beyond the end", id="trailing-byte"),
+    pytest.param(
+        lambda data, table: npy_bytes(table["value"]), "expected dtype", id="plain-complex"
+    ),
+    pytest.param(
+        lambda data, table: npy_bytes(table.astype(table.dtype.newbyteorder(">"))),
+        "expected dtype",
+        id="big-endian",
+    ),
+    pytest.param(
+        lambda data, table: npy_bytes(np.concatenate([table, table[-1:]])),
+        "expected 32 rows, got shape (33,)",
+        id="extra-row",
+    ),
+    pytest.param(
+        lambda data, table: npy_bytes(table.reshape(4, 8)),
+        "expected 32 rows, got shape (4, 8)",
+        id="two-dimensional",
+    ),
+    pytest.param(
+        lambda data, table: with_index(table, 3, -1),
+        "row 3 disagrees with mask: index=-1",
+        id="index-mask",
+    ),
+]
+
+
+class TestMeasurementsNpy:
+    def test_file_bytes_are_pinned(self, tmp_path):
+        inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
+        io.write_instance(inst, tmp_path)
+        vector = inst.measurements.vectors[0]
+        assert vector.mask.p_proj == 32
+        # Format version 1.0: magic, the header's length as 2 little-endian
+        # bytes, then the header, padded with spaces and a newline so the
+        # data start at a multiple of 64 bytes.
+        header = "{'descr': [('index', '<i8'), ('value', '<c16')], 'fortran_order': False, 'shape': (32,), }"
+        preamble = b"\x93NUMPY\x01\x00" + struct.pack("<H", 118) + header.ljust(117).encode() + b"\n"
+        rows = zip(vector.mask.indices.tolist(), vector.values.tolist())
+        body = b"".join(struct.pack("<qdd", i, v.real, v.imag) for i, v in rows)
+        assert (tmp_path / "measurements_0.npy").read_bytes() == preamble + body
+
+    @pytest.mark.parametrize("rewrite, fragment", NPY_FAULTS)
+    def test_faulty_table_is_io_error(self, tmp_path, generated, capsys, rewrite, fragment):
+        path = generated / "measurements_0.npy"
+        data = path.read_bytes()
+        path.write_bytes(rewrite(data, np.load(BytesIO(data))))
+        with pytest.raises(FileFormatError) as err:
+            io.load_instance(generated)
+        assert str(err.value).startswith(f"{path}: ")
+        assert fragment in str(err.value)
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run)]) == 4
+        assert f"{path}: " in capsys.readouterr().err
+
+    def test_format_1_directory_loads_and_reconstructs_identically(self, tmp_path, generated):
+        run1 = write_run_config(tmp_path / "run1.json", generated, tmp_path / "rec1")
+        run2 = write_run_config(tmp_path / "run2.json", generated, tmp_path / "rec2")
+        assert main(["reconstruct", "--config", str(run1)]) == 0
+        current = to_format_1(generated)
+        assert not list(generated.glob("*.npy"))
+        loaded = io.load_instance(generated)
+        for a, b in zip(loaded.measurements.vectors, current.measurements.vectors):
+            np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+        assert main(["reconstruct", "--config", str(run2)]) == 0
+        outputs = sorted(p.name for p in (tmp_path / "rec1").iterdir())
+        assert "result_magnitude.pgm" in outputs
+        assert outputs == sorted(p.name for p in (tmp_path / "rec2").iterdir())
+        for name in outputs:
+            assert read_bytes(tmp_path / "rec1" / name) == read_bytes(tmp_path / "rec2" / name)
 
 
 class TestReconstructCommand:
