@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import io
@@ -27,20 +27,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A reconstruct job: instance location, solver settings, output directory."""
-
-    instance_dir: str
-    method: str = METHOD_LSDK
-    tau: float = 2.1
-    max_cycles: int = 10000
-    joint: bool = False
-    eps_stop: float = 0.0
-    initial_image: str | None = None
-    out_dir: str = "."
-
-
 _RUN_FIELDS = {
     "instance": io.STRING,
     "method": io.STRING,
@@ -53,20 +39,20 @@ _RUN_FIELDS = {
 }
 
 
-def _load_run_config(path) -> RunConfig:
+# Run config fields passed on to SolverConfig under the same names; a field
+# left out takes SolverConfig's default.
+_SOLVER_FIELDS = ("method", "tau", "max_cycles", "eps_stop")
+
+
+def _load_run_config(path) -> dict:
+    """The checked run config, with ``tau`` and ``eps_stop`` as floats."""
     payload = io.check_fields(path, io.read_json(path), _RUN_FIELDS, "run config")
     if "instance" not in payload:
         raise FileFormatError(path, "run config must name an 'instance' directory")
-    return RunConfig(
-        instance_dir=payload["instance"],
-        method=payload.get("method", METHOD_LSDK),
-        tau=float(payload.get("tau", 2.1)),
-        max_cycles=payload.get("max_cycles", 10000),
-        joint=payload.get("joint", False),
-        eps_stop=float(payload.get("eps_stop", 0.0)),
-        initial_image=payload.get("initial_image"),
-        out_dir=payload.get("out", "."),
-    )
+    for name in ("tau", "eps_stop"):
+        if name in payload:
+            payload[name] = float(payload[name])
+    return payload
 
 
 def cmd_generate(args) -> int:
@@ -110,40 +96,35 @@ def _write_failure(out, exc):
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_run_config(args.config)
-    if args.method is not None:
-        cfg = replace(cfg, method=args.method)
-    if args.tau is not None:
-        cfg = replace(cfg, tau=args.tau)
-    if args.max_cycles is not None:
-        cfg = replace(cfg, max_cycles=args.max_cycles)
-    if args.joint:
-        cfg = replace(cfg, joint=True)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    overrides = {
+        "method": args.method,
+        "tau": args.tau,
+        "max_cycles": args.max_cycles,
+        "joint": args.joint,
+        "out": args.out,
+    }
+    cfg.update((name, value) for name, value in overrides.items() if value is not None)
+    joint = cfg.get("joint", False)
 
-    instance = io.load_instance(cfg.instance_dir)
+    instance = io.load_instance(cfg["instance"])
     initial = None
-    if cfg.initial_image is not None:
-        initial = io.read_image_csv(cfg.initial_image, instance.spec.grid, "initial image")
+    if cfg.get("initial_image") is not None:
+        initial = io.read_image_csv(cfg["initial_image"], instance.spec.grid, "initial image")
     solver_cfg = SolverConfig(
-        method=cfg.method,
-        tau=cfg.tau,
-        max_cycles=cfg.max_cycles,
-        eps_stop=cfg.eps_stop,
-        initial_image=initial,
+        initial_image=initial, **{name: cfg[name] for name in _SOLVER_FIELDS if name in cfg}
     )
-    out = Path(cfg.out_dir)
+    out = Path(cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
 
     scaling = None
     try:
-        if cfg.joint:
+        if joint:
             problem = instance.joint_problem()
             result = run_joint(problem, solver_cfg)
             final_image = result.final.image
         else:
             problem = instance.linear_problem()
-            if cfg.method == METHOD_LLK:
+            if solver_cfg.method == METHOD_LLK:
                 problem, scaling = rescale_problem(problem)
             result = run_linear(problem, solver_cfg, reference=instance.truth.image)
             final_image = result.final
@@ -155,13 +136,13 @@ def cmd_reconstruct(args) -> int:
         norm(op.apply(result.final) - problem.measurements.vectors[i])
         for i, op in enumerate(problem.operators)
     ]
-    bounds = [cfg.tau * float(d) for d in problem.measurements.deltas]
+    bounds = [solver_cfg.tau * float(d) for d in problem.measurements.deltas]
     summary = {
-        "instance": str(cfg.instance_dir),
-        "method": cfg.method,
-        "joint": cfg.joint,
-        "tau": cfg.tau,
-        "max_cycles": cfg.max_cycles,
+        "instance": str(cfg["instance"]),
+        "method": solver_cfg.method,
+        "joint": joint,
+        "tau": solver_cfg.tau,
+        "max_cycles": solver_cfg.max_cycles,
         "seed": instance.spec.seed,
         "k_star": result.trace.k_star,
         "termination_reason": result.reason,
@@ -177,11 +158,11 @@ def cmd_reconstruct(args) -> int:
     io.write_json(out / "summary.json", summary)
     io.write_trace_csv(out / "trace.csv", result.trace)
     io.write_complex_csv(out / "result.csv", final_image.values)
-    if cfg.joint:
+    if joint:
         io.write_coefficients_csv(out / "result_coefficients.csv", result.final.coefficients)
     io.write_pgm(out / "result_magnitude.pgm", final_image)
     print(
-        f"{cfg.method}{' joint' if cfg.joint else ''}: {result.reason} after "
+        f"{solver_cfg.method}{' joint' if joint else ''}: {result.reason} after "
         f"{result.trace.n_cycles} cycles (k* = {result.trace.k_star})"
     )
     return EXIT_OK

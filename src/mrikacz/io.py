@@ -41,6 +41,7 @@ the first faulty line.  Both give the same arrays, bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from pathlib import Path
 
@@ -64,15 +65,19 @@ FORMAT_VERSION = 2
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    """An int or float that converts to a finite float: not ``Infinity``, ``NaN`` or a huge int."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 # Types of JSON object fields: (what a value must be, its test).  A bool is
 # neither an integer nor a number, and no value is converted to fit.
 INTEGER = ("an integer", lambda value: type(value) is int)
-NUMBER = ("a number", _is_number)
+NUMBER = ("a finite number", _is_number)
 NUMBERS = (
-    "a number or a list of numbers",
+    "a finite number or a list of finite numbers",
     lambda value: _is_number(value) or (type(value) is list and all(map(_is_number, value))),
 )
 STRING = ("a string", lambda value: type(value) is str)

@@ -109,6 +109,18 @@ class LinearForward(_ReceiverOperator):
         """Closed-form upper bound |scale| * sqrt(p_num) * max|S_i| on the spectral norm."""
         return self._transform_bound * float(np.abs(self.sensitivity.values).max())
 
+    # A linear map is its own derivative at every point, so the Kaczmarz loop
+    # and the cone probe call these exactly as they call ``JointForward``'s.
+
+    def derivative(self, x: ComplexImage, dx: ComplexImage) -> MeasurementVector:
+        return self.apply(dx)
+
+    def adjoint_derivative(self, x: ComplexImage, data: MeasurementVector) -> ComplexImage:
+        return self.adjoint(data)
+
+    def derivative_norm_bound(self, x: ComplexImage) -> float:
+        return self.norm_bound
+
 
 class JointForward(_ReceiverOperator):
     """Parameter-to-data operator of one receiver on (image, coefficients)."""
@@ -336,19 +348,17 @@ def _pair_summary(a, b):
     return {"x_norm": grid.norm(a), "x_bar_norm": grid.norm(b)}
 
 
-def _random_joint(rng: np.random.Generator, like: JointParameter) -> JointParameter:
-    img = rng.standard_normal(like.image.values.size) + 1j * rng.standard_normal(
-        like.image.values.size
-    )
-    coeff = rng.standard_normal(like.coefficients.shape) + 1j * rng.standard_normal(
-        like.coefficients.shape
-    )
-    return JointParameter(ComplexImage(like.image.shape, img), coeff)
+def _random_like(rng: np.random.Generator, like):
+    """A point with standard complex normal entries in the space of ``like``.
 
+    Draws the image before the coefficient block, real parts before imaginary.
+    """
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-def _random_image(rng: np.random.Generator, shape) -> ComplexImage:
-    vals = rng.standard_normal(shape.p_num) + 1j * rng.standard_normal(shape.p_num)
-    return ComplexImage(shape, vals)
+    if isinstance(like, JointParameter):
+        return JointParameter(_random_like(rng, like.image), gaussian(like.coefficients.shape))
+    return ComplexImage(like.shape, gaussian(like.shape.p_num))
 
 
 def _ball_sampler(target, center, rng):
@@ -363,38 +373,23 @@ def _ball_sampler(target, center, rng):
             return center + g * rng.uniform(0.0, 1.0)
 
         return center, draw
-    if isinstance(target, LinearForward):
-        center = ComplexImage.zero(target.model.grid) if center is None else center
-
-        def draw():
-            g = _random_image(rng, center.shape)
-            return center + g * (rng.uniform(0.0, 1.0) / grid.norm(g))
-
-        return center, draw
-    if isinstance(target, JointForward):
-        if center is None:
+    if center is None:
+        if isinstance(target, JointForward):
             raise ValueError("a joint cone probe needs an explicit center parameter")
+        center = ComplexImage.zero(target.model.grid)
 
-        def draw():
-            g = _random_joint(rng, center)
-            return center + g * (rng.uniform(0.0, 1.0) / grid.norm(g))
+    def draw():
+        g = _random_like(rng, center)
+        return center + g * (rng.uniform(0.0, 1.0) / grid.norm(g))
 
-        return center, draw
-    raise TypeError(f"cannot probe objects of type {type(target).__name__}")
+    return center, draw
 
 
 def _probe_eval(target, x, x_bar):
-    if isinstance(target, ScalarProductModel):
-        diff = target.apply(x) - target.apply(x_bar)
-        lin = target.derivative(x, x - x_bar)
-        return abs(diff - lin), abs(diff)
-    if isinstance(target, LinearForward):
-        diff = target.apply(x) - target.apply(x_bar)
-        lin = target.apply(x - x_bar)
-        return grid.norm(diff - lin), grid.norm(diff)
+    size = abs if isinstance(target, ScalarProductModel) else grid.norm
     diff = target.apply(x) - target.apply(x_bar)
     lin = target.derivative(x, x - x_bar)
-    return grid.norm(diff - lin), grid.norm(diff)
+    return size(diff - lin), size(diff)
 
 
 def cone_probe(

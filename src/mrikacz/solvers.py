@@ -1,22 +1,25 @@
 """Loping Kaczmarz-type iterations with the cycle-based stopping rule.
 
-One step works on one receiver's equation ([k] = k mod r_num).  The update
+One step works on one receiver's equation F_i(x) = y_i ([k] = k mod r_num).
+The update
 
-    x_{k+1} = x_k - omega_k * alpha_k * s_k
+    x_{k+1} = x_k - omega_k * alpha_k * s_k,    s_k = F_i'(x_k)* (F_i(x_k) - y_i),
 
 uses the adjoint residual direction s_k; omega_k lopes (skips) the step
 whenever the residual is already within tau * delta of the noise level.
-``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz); ``method="lsdk"``
-uses the steepest-descent step ||s_k||^2 / ||A s_k||^2.  The run stops at
-the first cycle whose steps all loped, at a cycle cap, or (for exact data,
-where loping never triggers) once the residual has dropped by a configured
-factor.
+``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz) and needs every
+||F_i'(x_0)|| <= 1; ``method="lsdk"`` uses the steepest-descent step
+||s_k||^2 / ||F_i'(x_k) s_k||^2.  The linear and joint runs share one loop;
+a linear operator is its own derivative.  The run stops at the first cycle
+whose steps all loped, at a cycle cap, or (for exact data, where loping
+never triggers) once the residual has dropped by a configured factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +46,8 @@ def loping_weight(residual_norm: float, tau: float, delta_i: float) -> int:
 def sdk_step_size(apply, s, s_norm: float) -> float:
     """Steepest-descent step ||s||^2 / ||apply(s)||^2, given ``s_norm`` = ||s||.
 
-    ``apply`` maps the parameter space into data space (the operator itself
-    in the linear case, the derivative at the current iterate in the joint
-    case).
+    ``apply`` maps the parameter space into data space: the loop passes the
+    derivative F_i'(x) at the current iterate.
     """
     denom = grid.norm(apply(s))
     if denom < _CURVATURE_FLOOR:
@@ -74,7 +76,6 @@ class SolverConfig:
     initial_coefficients: np.ndarray | None = None
     eps_stop: float = 0.0
     exact_data_rtol: float = 1e-10
-    step_size_override: float | None = None
 
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
@@ -87,21 +88,19 @@ class SolverConfig:
             raise ConfigurationError("eps_stop must be >= 0")
         if self.exact_data_rtol < 0:
             raise ConfigurationError("exact_data_rtol must be >= 0")
-        if self.step_size_override is not None and self.method != METHOD_LSDK:
-            raise ConfigurationError("step_size_override only applies to lsdk")
 
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Column-wise record of every step of a run.
 
-    ``errors`` is present only when a reference solution was supplied.
-    ``k_star`` is the stopping index (a multiple of r_num) when the run
-    terminated through the stopping rule, else None.
+    Step k works on receiver k mod r_num, so ``steps`` and ``receivers``
+    are derived from the step count.  ``errors`` is present only when a
+    reference solution was supplied.  ``k_star`` is the stopping index (a
+    multiple of r_num) when the run terminated through the stopping rule,
+    else None.
     """
 
-    steps: np.ndarray
-    receivers: np.ndarray
     omegas: np.ndarray
     alphas: np.ndarray
     residuals: np.ndarray
@@ -111,7 +110,15 @@ class IterationTrace:
 
     @property
     def n_steps(self) -> int:
-        return int(self.steps.size)
+        return int(self.omegas.size)
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.arange(self.n_steps, dtype=np.int64)
+
+    @property
+    def receivers(self) -> np.ndarray:
+        return self.steps % self.r_num
 
     @property
     def n_cycles(self) -> int:
@@ -129,13 +136,10 @@ class SolveResult:
 class _Recorder:
     def __init__(self, r_num, track_errors):
         self.r_num = r_num
-        self.steps, self.receivers, self.omegas = [], [], []
-        self.alphas, self.residuals = [], []
+        self.omegas, self.alphas, self.residuals = [], [], []
         self.errors = [] if track_errors else None
 
-    def add(self, k, i, omega, alpha, residual, error):
-        self.steps.append(k)
-        self.receivers.append(i)
+    def add(self, omega, alpha, residual, error):
         self.omegas.append(omega)
         self.alphas.append(alpha)
         self.residuals.append(residual)
@@ -144,8 +148,6 @@ class _Recorder:
 
     def build(self, k_star):
         return IterationTrace(
-            steps=np.asarray(self.steps, dtype=np.int64),
-            receivers=np.asarray(self.receivers, dtype=np.int64),
             omegas=np.asarray(self.omegas, dtype=np.int64),
             alphas=np.asarray(self.alphas, dtype=np.float64),
             residuals=np.asarray(self.residuals, dtype=np.float64),
@@ -155,14 +157,28 @@ class _Recorder:
         )
 
 
-def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap_fn, metadata):
+def _check_llk_bounds(problem: Problem, x0):
+    """llk's unit-norm hypothesis: every receiver's derivative bound at ``x0`` is <= 1."""
+    for i, op in enumerate(problem.operators):
+        bound = op.derivative_norm_bound(x0)
+        if bound > 1.0:
+            raise ConfigurationError(
+                f"llk requires derivative norm <= 1 at the initial guess; "
+                f"receiver {i} has derivative norm bound {bound:.6g}"
+            )
+
+
+def _iterate(x, problem, config, reference, metadata):
+    ops, measurements = problem.operators, problem.measurements
     r_num = measurements.r_num
     deltas = measurements.deltas
     all_exact = bool(np.all(deltas == 0.0))
     rec = _Recorder(r_num, reference is not None)
+    if config.method == METHOD_LLK:
+        _check_llk_bounds(problem, x)
 
     initial_max_residual = max(
-        grid.norm(apply_fn(x, i) - measurements.vectors[i]) for i in range(r_num)
+        grid.norm(op.apply(x) - y) for op, y in zip(ops, measurements.vectors)
     )
     metadata = dict(metadata, initial_max_residual=initial_max_residual)
 
@@ -174,7 +190,8 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
         cycle_max_update = 0.0
         cycle_any_active = False
         for i in range(r_num):
-            residual = apply_fn(x, i) - measurements.vectors[i]
+            op = ops[i]
+            residual = op.apply(x) - measurements.vectors[i]
             rnorm = grid.norm(residual)
             if not math.isfinite(rnorm):
                 # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
@@ -187,21 +204,18 @@ def _iterate(x, measurements, config, reference, apply_fn, direction_fn, stepmap
             alpha = 1.0
             if omega:
                 cycle_any_active = True
-                s = direction_fn(x, i, residual)
+                s = op.adjoint_derivative(x, residual)
                 s_norm = grid.norm(s)
                 if config.method == METHOD_LSDK:
-                    if config.step_size_override is not None:
-                        alpha = config.step_size_override
-                    else:
-                        try:
-                            alpha = sdk_step_size(stepmap_fn(x, i), s, s_norm)
-                        except SingularStepError as exc:
-                            raise SingularStepError(
-                                f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
-                            ) from None
+                    try:
+                        alpha = sdk_step_size(partial(op.derivative, x), s, s_norm)
+                    except SingularStepError as exc:
+                        raise SingularStepError(
+                            f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
+                        ) from None
                 x = x - alpha * s
                 cycle_max_update = max(cycle_max_update, alpha * s_norm)
-            rec.add(k, i, omega, alpha, rnorm, error)
+            rec.add(omega, alpha, rnorm, error)
             if omega and not grid.all_finite(x):
                 raise NumericalFailure(
                     f"non-finite iterate at step {k} (receiver {i})",
@@ -235,36 +249,20 @@ def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), referenc
     """Reconstruct the image with known sensitivities.
 
     For ``method="llk"`` every operator's closed-form
-    :attr:`~mrikacz.operators.LinearForward.norm_bound` must be <= 1, so the
-    unit-norm hypothesis holds (see :func:`mrikacz.operators.rescale_problem`);
+    :attr:`~mrikacz.operators.LinearForward.norm_bound`, which is its
+    derivative norm bound at every point, must be <= 1, so the unit-norm
+    hypothesis holds (see :func:`mrikacz.operators.rescale_problem`);
     unscaled operators are rejected.  ``reference`` optionally supplies a known
     solution whose distance to the iterate is recorded in the trace.
     """
     _check_family(problem, LinearForward, "run_linear")
-    ops = problem.operators
-    if config.method == METHOD_LLK:
-        for i, op in enumerate(ops):
-            if op.norm_bound > 1.0:
-                raise ConfigurationError(
-                    f"llk requires operators scaled to unit norm; receiver {i} "
-                    f"has norm bound {op.norm_bound:.6g}"
-                )
     x0 = config.initial_image
     if x0 is None:
-        x0 = ComplexImage.zero(ops[0].model.grid)
+        x0 = ComplexImage.zero(problem.operators[0].model.grid)
     if reference is not None and not isinstance(reference, ComplexImage):
         raise ConfigurationError("reference for a linear run must be a ComplexImage")
     metadata = {"method": config.method, "tau": config.tau, "space": "image"}
-    return _iterate(
-        x0,
-        problem.measurements,
-        config,
-        reference,
-        apply_fn=lambda x, i: ops[i].apply(x),
-        direction_fn=lambda x, i, res: ops[i].adjoint(res),
-        stepmap_fn=lambda x, i: ops[i].apply,
-        metadata=metadata,
-    )
+    return _iterate(x0, problem, config, reference, metadata)
 
 
 def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
@@ -280,8 +278,7 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
     nonlinear map).
     """
     _check_family(problem, JointForward, "run_joint")
-    ops = problem.operators
-    model = ops[0].model
+    model = problem.operators[0].model
     image0 = config.initial_image
     if image0 is None:
         image0 = ComplexImage.zero(model.grid)
@@ -290,14 +287,6 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
         coeff0 = np.zeros((problem.r_num, model.b_num), dtype=np.complex128)
         coeff0[:, 0] = 1.0
     x0 = JointParameter(image0, coeff0)
-    if config.method == METHOD_LLK:
-        for i, op in enumerate(ops):
-            bound = op.derivative_norm_bound(x0)
-            if bound > 1.0:
-                raise ConfigurationError(
-                    f"llk requires derivative norm <= 1 at the initial guess; "
-                    f"receiver {i} has derivative norm bound {bound:.6g}"
-                )
     if reference is not None and not isinstance(reference, JointParameter):
         raise ConfigurationError("reference for a joint run must be a JointParameter")
     metadata = {
@@ -307,13 +296,4 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
         "guarantee": "experimental: no convergence guarantee",
         "joint_norm": "unweighted direct sum of image and coefficient norms",
     }
-    return _iterate(
-        x0,
-        problem.measurements,
-        config,
-        reference,
-        apply_fn=lambda x, i: ops[i].apply(x),
-        direction_fn=lambda x, i, res: ops[i].adjoint_derivative(x, res),
-        stepmap_fn=lambda x, i: (lambda v: ops[i].derivative(x, v)),
-        metadata=metadata,
-    )
+    return _iterate(x0, problem, config, reference, metadata)

@@ -54,27 +54,36 @@ def small_instance():
     return mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21))
 
 
-@pytest.mark.parametrize("joint", [False, True], ids=["linear", "joint"])
-def test_traced_counts_follow_the_step_formulas(tracer, small_instance, joint):
-    """Every transform, operator call and norm of an lsdk solve goes through a traced name.
+@pytest.mark.parametrize(
+    "method, joint", [("lsdk", False), ("lsdk", True), ("llk", False)], ids=["linear", "joint", "llk"]
+)
+def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, joint):
+    """Every transform, operator call and norm of a solve goes through a traced name.
 
     Per step: one residual (``apply``, one forward transform, one norm, one
     mask check).  Per active step: one direction (one adjoint transform, one
-    mask check), its norm, and the step-size map applied to it (one forward
-    transform, one norm).  Before the first step: one residual per receiver.
+    mask check), its norm, and for lsdk the step-size map applied to it (one
+    forward transform, one norm).  Before the first step: one residual per
+    receiver.  The llk run is rescaled before tracing starts.
     """
-    config = mk.SolverConfig(method="lsdk", max_cycles=20)
-    problem = small_instance.joint_problem() if joint else small_instance.linear_problem()
+    config = mk.SolverConfig(method=method, max_cycles=20)
+    if joint:
+        problem = small_instance.joint_problem()
+    else:
+        problem = small_instance.linear_problem()
+        if method == "llk":
+            problem, _ = mk.rescale_problem(problem)
     with tracer.Tracer() as active:
         result = (mk.run_joint if joint else mk.run_linear)(problem, config)
     spans = Counter(active.names[i] for i in active.name)
     counts = {name: c for (_, name), c in active.counts.items()}
     r_num, n_steps = result.trace.r_num, result.trace.n_steps
     n_active = int(result.trace.omegas.sum())
+    n_maps = n_active if method == "lsdk" else 0
     assert 0 < n_active < n_steps
-    assert spans["transform.forward"] == r_num + n_steps + n_active
+    assert spans["transform.forward"] == r_num + n_steps + n_maps
     assert spans["transform.adjoint"] == n_active
-    assert counts["grid.norm"] == r_num + n_steps + 2 * n_active
+    assert counts["grid.norm"] == r_num + n_steps + n_active + n_maps
     assert spans["grid.mask_matches"] == r_num + n_steps + n_active
     if joint:
         assert spans["operators.apply"] == r_num + n_steps
@@ -83,6 +92,6 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, joint):
         assert spans["operators.adjoint"] == 0
     else:
         # The linear step-size map is the operator itself.
-        assert spans["operators.apply"] == r_num + n_steps + n_active
+        assert spans["operators.apply"] == r_num + n_steps + n_maps
         assert spans["operators.adjoint"] == n_active
         assert spans["operators.joint_derivative"] == 0

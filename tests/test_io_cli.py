@@ -303,6 +303,7 @@ class TestGenerateCommand:
             ("mask_family", None),
             ("phantom_family", ["blobs"]),
             ("delta_mode", 1),
+            ("mask_fraction", float("inf")),
         ],
     )
     def test_wrong_spec_field_type_is_io_error(self, tmp_path, capsys, field, value):
@@ -570,9 +571,10 @@ class TestReconstructCommand:
         assert summary["last_finite_residuals"] == [None] * 4
         assert (tmp_path / "rec" / "trace.csv").read_text().count("\n") == 1
 
-    def test_failure_summary_reads_the_partial_trace(self, tmp_path, generated):
+    def test_failure_summary_reads_the_partial_trace(self, tmp_path, generated, monkeypatch):
         problem = io.load_instance(generated).linear_problem()
-        config = mk.SolverConfig(step_size_override=1e308, max_cycles=5)
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1e308)
+        config = mk.SolverConfig(method="lsdk", max_cycles=5)
         with pytest.raises(NumericalFailure) as exc_info, np.errstate(over="ignore", invalid="ignore"):
             mk.run_linear(problem, config)
         trace = exc_info.value.trace
@@ -678,6 +680,9 @@ class TestReconstructCommand:
             ("eps_stop", None),
             ("initial_image", 5),
             ("out", ["rec"]),
+            ("tau", float("inf")),
+            pytest.param("tau", 10**400, id="tau-400-digit-int"),
+            ("eps_stop", float("inf")),
         ],
     )
     def test_wrong_run_config_field_type_is_io_error(self, tmp_path, generated, capsys, field, value):
@@ -731,6 +736,7 @@ class TestProbeConeCommand:
             ("samples", True),
             ("radius", "1"),
             ("radius", None),
+            ("radius", float("nan")),
             ("seed", 1.5),
         ],
     )

@@ -79,10 +79,7 @@ class Case:
         self.values = values
         self.mask = KSpaceMask(GridShape(4 * n, 1), indices)
         self.coefficients = values.reshape(n // b_num, b_num)
-        steps = np.arange(n, dtype=np.int64)
         self.trace = IterationTrace(
-            steps=steps,
-            receivers=steps % 4,
             omegas=(values.real > 0).astype(np.int64),
             alphas=values.real,
             residuals=values.imag,

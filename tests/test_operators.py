@@ -115,6 +115,16 @@ def test_adjoint_rejects_data_on_another_mask(tiny_unit_op, joint):
         jop.adjoint_derivative(x, data) if joint else tiny_unit_op.adjoint(data)
 
 
+def test_linear_derivative_calls_are_the_operator_calls(default_instance):
+    rng = np.random.default_rng(43)
+    op = default_instance.operators[1]
+    x, dx = random_image(rng, op.model.grid), random_image(rng, op.model.grid)
+    data = random_measurement(rng, op.mask)
+    np.testing.assert_array_equal(op.derivative(x, dx).values, op.apply(dx).values)
+    np.testing.assert_array_equal(op.adjoint_derivative(x, data).values, op.adjoint(data).values)
+    assert op.derivative_norm_bound(x) == op.norm_bound
+
+
 class TestJointForward:
     def test_scaled_constant(self):
         op = unit_joint_op()

@@ -78,10 +78,6 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             mk.SolverConfig(max_cycles=0)
 
-    def test_override_only_for_lsdk(self):
-        with pytest.raises(ConfigurationError):
-            mk.SolverConfig(method="llk", step_size_override=1.0)
-
 
 class TestRunLinear:
     def test_starting_at_solution_stops_in_cycle_zero(self):
@@ -177,12 +173,11 @@ class TestRunLinear:
         floors = 1.0 / np.asarray(report.post_norms) ** 2 - 1e-9
         assert np.all(tr.alphas[active] >= floors[tr.receivers[active]])
 
-    def test_lsdk_with_forced_unit_step_reproduces_llk(self, default_instance):
+    def test_lsdk_with_forced_unit_step_reproduces_llk(self, default_instance, monkeypatch):
         problem, _ = mk.rescale_problem(default_instance.linear_problem())
         llk = mk.run_linear(problem, mk.SolverConfig(method="llk"))
-        forced = mk.run_linear(
-            problem, mk.SolverConfig(method="lsdk", step_size_override=1.0)
-        )
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1.0)
+        forced = mk.run_linear(problem, mk.SolverConfig(method="lsdk"))
         np.testing.assert_array_equal(llk.final.values, forced.final.values)
         np.testing.assert_array_equal(llk.trace.residuals, forced.trace.residuals)
         np.testing.assert_array_equal(llk.trace.omegas, forced.trace.omegas)
@@ -214,9 +209,10 @@ class TestRunLinear:
         assert result.reason == mk.STOPPING_RULE
         assert result.trace.k_star is not None
 
-    def test_numerical_failure_carries_partial_trace(self):
+    def test_numerical_failure_carries_partial_trace(self, monkeypatch):
         problem, _ = unit_problem([1, 1j, -1, -1j], deltas=(0.01,), noise_seed=3)
-        config = mk.SolverConfig(method="lsdk", step_size_override=1e308, max_cycles=5)
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1e308)
+        config = mk.SolverConfig(method="lsdk", max_cycles=5)
         with pytest.raises(NumericalFailure) as exc_info, np.errstate(over="ignore"):
             mk.run_linear(problem, config)
         trace = exc_info.value.trace
