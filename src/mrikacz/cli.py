@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io
 from .errors import ConfigurationError, FileFormatError, NumericalFailure
-from .grid import JointParameter, norm
+from .grid import norm
 from .operators import ScalarProductModel, cone_probe, rescale_problem
 from .phantoms import synthesize
 from .solvers import METHOD_LLK, METHOD_LSDK, SolverConfig, run_joint, run_linear
@@ -105,6 +105,11 @@ def cmd_reconstruct(args) -> int:
     }
     cfg.update((name, value) for name, value in overrides.items() if value is not None)
     joint = cfg.get("joint", False)
+    if joint and cfg.get("method") == METHOD_LLK:
+        raise ConfigurationError(
+            "joint llk is not supported: reconstruct does not rescale joint operators, "
+            "and llk needs every derivative norm bound <= 1; use method 'lsdk'"
+        )
 
     instance = io.load_instance(cfg["instance"])
     initial = None
@@ -168,6 +173,8 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+_PROBE_TARGETS = ("scalar", "linear", "joint")
+
 _PROBE_FIELDS = {
     "instance": io.nullable(io.STRING),
     "targets": io.nullable(io.STRINGS),
@@ -186,45 +193,40 @@ def cmd_probe_cone(args) -> int:
     instance_dir = payload.get("instance")
     targets = payload.get("targets")
     if targets is None:
-        targets = ["scalar", "linear", "joint"] if instance_dir else ["scalar"]
+        targets = _PROBE_TARGETS if instance_dir else ("scalar",)
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    if any(t not in ("scalar", "linear", "joint") for t in targets):
+    if any(t not in _PROBE_TARGETS for t in targets):
         raise ConfigurationError(f"targets must be among scalar/linear/joint, got {targets}")
-    if instance_dir is None and ("linear" in targets or "joint" in targets):
+    needs_instance = any(t != "scalar" for t in targets)
+    if instance_dir is None and needs_instance:
         raise ConfigurationError("linear/joint probes need an instance directory")
 
     report = {"samples": samples, "radius": radius, "seed": seed}
-    if "scalar" in targets:
-        rep = cone_probe(ScalarProductModel(), radius=radius, samples=samples, seed=seed)
-        report["scalar"] = rep.as_dict(include_pairs=True)
-    if instance_dir is not None and ("linear" in targets or "joint" in targets):
+    if needs_instance:
         instance = io.load_instance(instance_dir)
         report["instance"] = str(instance_dir)
-        if "linear" in targets:
-            rep = cone_probe(list(instance.operators), radius=radius, samples=samples, seed=seed)
-            report["linear"] = rep.as_dict()
-        if "joint" in targets:
-            jprob = instance.joint_problem()
-            center = JointParameter.zero(
-                instance.spec.grid, instance.spec.r_num, instance.spec.b_num
-            )
-            rep = cone_probe(
-                list(jprob.operators), center=center, radius=radius, samples=samples, seed=seed
-            )
-            report["joint"] = rep.as_dict()
-    for name in ("scalar", "linear", "joint"):
-        if name in report and report[name]["degenerate"]:
+    for name in _PROBE_TARGETS:
+        if name not in targets:
+            continue
+        if name == "scalar":
+            target = ScalarProductModel()
+        elif name == "linear":
+            target = list(instance.operators)
+        else:
+            target = list(instance.joint_problem().operators)
+        section = report[name] = cone_probe(
+            target, radius=radius, samples=samples, seed=seed
+        ).as_dict(include_pairs=name == "scalar")
+        if section["degenerate"]:
             print(f"warning: {name} probe sampling was degenerate", file=sys.stderr)
+        print(
+            f"{name}: max ratio = {section['max_ratio']}, "
+            f"exceeds 1/2 = {section['exceeds_half']}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "cone_report.json", report)
-    for name in ("scalar", "linear", "joint"):
-        if name in report:
-            print(
-                f"{name}: max ratio = {report[name]['max_ratio']}, "
-                f"exceeds 1/2 = {report[name]['exceeds_half']}"
-            )
     return EXIT_OK
 
 

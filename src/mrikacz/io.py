@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from itertools import repeat
 from pathlib import Path
 
@@ -432,23 +433,6 @@ def read_json(path) -> dict:
         raise _undecodable(path, exc) from None
 
 
-def spec_to_dict(spec: InstanceSpec) -> dict:
-    return {
-        "p_hor": spec.p_hor,
-        "p_ver": spec.p_ver,
-        "r_num": spec.r_num,
-        "basis_family": spec.basis_family,
-        "b_num": spec.b_num,
-        "mask_family": spec.mask_family,
-        "mask_fraction": spec.mask_fraction,
-        "p_proj": spec.p_proj,
-        "phantom_family": spec.phantom_family,
-        "deltas": list(spec.deltas),
-        "delta_mode": spec.delta_mode,
-        "seed": spec.seed,
-    }
-
-
 def spec_from_dict(payload: dict, path="<spec>") -> InstanceSpec:
     check_fields(path, payload, _SPEC_FIELDS, "spec")
     try:
@@ -483,7 +467,7 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
         "flattening": "row-major, flat = (row-1)*p_hor + (col-1)",
         "noise_model": "complex Gaussian rescaled so ||noisy - exact|| = delta exactly",
     }
-    _w("instance.json", write_json, {"spec": spec_to_dict(spec), "metadata": metadata})
+    _w("instance.json", write_json, {"spec": asdict(spec), "metadata": metadata})
     _w("ground_truth.csv", write_complex_csv, instance.truth.image.values)
     _w("mask.csv", write_mask_csv, instance.mask)
     _w("coefficients.csv", write_coefficients_csv, instance.model.coefficients)

@@ -98,8 +98,6 @@ class LinearForward(_ReceiverOperator):
             raise DimensionMismatch("image grid does not match the operator")
         return _measure(self.plan, self.mask, self.scale, image.values * self.sensitivity.values)
 
-    __call__ = apply
-
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
         back = _back(self.plan, self.mask, data)
         return _fresh(ComplexImage, self.model.grid, np.conj(self.sensitivity.values) * back * self.scale)
@@ -141,8 +139,6 @@ class JointForward(_ReceiverOperator):
     def apply(self, x: JointParameter) -> MeasurementVector:
         self._check_point(x)
         return _measure(self.plan, self.mask, self.scale, x.image.values * self._sensitivity(x))
-
-    __call__ = apply
 
     def derivative(self, x: JointParameter, dx: JointParameter) -> MeasurementVector:
         """Directional derivative at ``x``; bilinear product rule."""
@@ -309,8 +305,6 @@ class ScalarProductModel:
         x, y = point
         return float(x) * float(y)
 
-    __call__ = apply
-
     def derivative(self, point: np.ndarray, direction: np.ndarray) -> float:
         x, y = point
         dx, dy = direction
@@ -319,26 +313,39 @@ class ScalarProductModel:
 
 @dataclass(frozen=True, eq=False)
 class ConeProbeReport:
-    """Sampled tangential-cone ratios ||F(a) - F(b) - F'(a)(a-b)|| / ||F(a) - F(b)||."""
+    """Sampled tangential-cone ratios ||F(a) - F(b) - F'(a)(a-b)|| / ||F(a) - F(b)||.
+
+    ``pairs`` holds one summary per sampled pair, not the pair itself: the
+    coordinates for the scalar model, the two norms otherwise.
+    """
 
     pairs: tuple
     ratios: np.ndarray
-    max_ratio: float
-    exceeds_half: bool
     excluded: int
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.ratios.size == 0
+
+    @property
+    def max_ratio(self) -> float:
+        return float("nan") if self.degenerate else float(self.ratios.max())
+
+    @property
+    def exceeds_half(self) -> bool:
+        return not self.degenerate and self.max_ratio >= 0.5
 
     def as_dict(self, include_pairs: bool = False) -> dict:
         out = {
             "samples": len(self.pairs),
             "ratios": [float(r) for r in self.ratios],
-            "max_ratio": float(self.max_ratio) if np.isfinite(self.max_ratio) else None,
-            "exceeds_half": bool(self.exceeds_half),
+            "max_ratio": self.max_ratio if np.isfinite(self.max_ratio) else None,
+            "exceeds_half": self.exceeds_half,
             "excluded": int(self.excluded),
-            "degenerate": bool(self.degenerate),
+            "degenerate": self.degenerate,
         }
         if include_pairs:
-            out["pairs"] = [_pair_summary(a, b) for a, b in self.pairs]
+            out["pairs"] = list(self.pairs)
         return out
 
 
@@ -361,28 +368,28 @@ def _random_like(rng: np.random.Generator, like):
     return ComplexImage(like.shape, gaussian(like.shape.p_num))
 
 
-def _ball_sampler(target, center, rng):
-    """Returns (center, draw) where draw() samples uniformly-directed points
-    with radius-1 scale; callers multiply by the radius."""
+def _ball_offset(rng: np.random.Generator, like):
+    """A uniformly directed point of norm <= 1 in the space of ``like``.
+
+    The direction is drawn before the length.
+    """
+    if isinstance(like, np.ndarray):
+        g = rng.standard_normal(like.shape)
+        g /= np.linalg.norm(g)
+        return g * rng.uniform(0.0, 1.0)
+    g = _random_like(rng, like)
+    return g * (rng.uniform(0.0, 1.0) / grid.norm(g))
+
+
+def _origin(target, center):
+    """``center`` as a point of ``target``'s domain; the domain's zero when omitted."""
     if isinstance(target, ScalarProductModel):
-        center = np.zeros(2) if center is None else np.asarray(center, dtype=float)
-
-        def draw():
-            g = rng.standard_normal(2)
-            g /= np.linalg.norm(g)
-            return center + g * rng.uniform(0.0, 1.0)
-
-        return center, draw
-    if center is None:
-        if isinstance(target, JointForward):
-            raise ValueError("a joint cone probe needs an explicit center parameter")
-        center = ComplexImage.zero(target.model.grid)
-
-    def draw():
-        g = _random_like(rng, center)
-        return center + g * (rng.uniform(0.0, 1.0) / grid.norm(g))
-
-    return center, draw
+        return np.zeros(2) if center is None else np.asarray(center, dtype=float)
+    if center is not None:
+        return center
+    if isinstance(target, JointForward):
+        return JointParameter.zero(target.model.grid, *target.model.coefficients.shape)
+    return ComplexImage.zero(target.model.grid)
 
 
 def _probe_eval(target, x, x_bar):
@@ -402,9 +409,14 @@ def cone_probe(
     """Sample the tangential-cone ratio of an operator (or family) in a ball.
 
     ``target`` is a :class:`ScalarProductModel`, a single operator, or a
-    sequence of operators sharing one domain.  Pairs whose denominator falls
-    below 1e-14 are excluded from the statistic and counted separately; if
-    every pair is excluded the report is flagged degenerate.
+    sequence of operators sharing one domain.  Each point is ``center +
+    offset * radius`` with ``offset`` uniformly directed and of norm <= 1;
+    ``center`` defaults to the zero of the domain (``np.zeros(2)``, the zero
+    image, or a zero :class:`JointParameter` of the model's coefficient
+    shape).  The points are summarised as they are drawn and not kept (see
+    :class:`ConeProbeReport`).  Pairs whose denominator falls below 1e-14 are
+    excluded from the statistic and counted separately; if every pair is
+    excluded the report is flagged degenerate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -414,31 +426,18 @@ def cone_probe(
     if not targets:
         raise ValueError("no operators to probe")
     rng = np.random.default_rng(seed)
-    center, draw = _ball_sampler(targets[0], center, rng)
-
-    def scaled_draw():
-        return center + (draw() - center) * radius
-
+    center = _origin(targets[0], center)
     pairs = []
     ratios = []
     excluded = 0
     for _ in range(samples):
-        x, x_bar = scaled_draw(), scaled_draw()
-        pairs.append((x, x_bar))
+        x = center + _ball_offset(rng, center) * radius
+        x_bar = center + _ball_offset(rng, center) * radius
+        pairs.append(_pair_summary(x, x_bar))
         for op in targets:
             num, den = _probe_eval(op, x, x_bar)
             if den < _DENOM_FLOOR:
                 excluded += 1
             else:
                 ratios.append(num / den)
-    ratios = np.asarray(ratios, dtype=float)
-    degenerate = ratios.size == 0
-    max_ratio = float(ratios.max()) if not degenerate else float("nan")
-    return ConeProbeReport(
-        pairs=tuple(pairs),
-        ratios=ratios,
-        max_ratio=max_ratio,
-        exceeds_half=(not degenerate) and max_ratio >= 0.5,
-        excluded=excluded,
-        degenerate=degenerate,
-    )
+    return ConeProbeReport(tuple(pairs), np.asarray(ratios, dtype=float), excluded)

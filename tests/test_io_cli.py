@@ -701,10 +701,11 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(run)]) == 2
 
     def test_unscaled_joint_llk_is_config_error(self, tmp_path, generated, capsys):
-        # The CLI rescales only linear problems; at the zero image the bound is sqrt(64) * max|b_0|.
+        # The CLI rescales only linear problems, so joint llk is refused before any work.
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run), "--joint", "--method", "llk"]) == 2
-        assert "receiver 0 has derivative norm bound 8\n" in capsys.readouterr().err
+        assert "reconstruct does not rescale joint operators" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
 
 class TestProbeConeCommand:

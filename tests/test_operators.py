@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,26 @@ class TestConeProbe:
         )
         report = mk.cone_probe(list(jprob.operators), center=center, radius=1.0, samples=40, seed=2)
         assert report.exceeds_half
+
+    def test_joint_center_defaults_to_zero_parameter(self, default_instance):
+        ops = list(default_instance.joint_problem().operators)
+        center = mk.JointParameter.zero(
+            default_instance.spec.grid, default_instance.spec.r_num, default_instance.spec.b_num
+        )
+        explicit = mk.cone_probe(ops, center=center, samples=10, seed=4)
+        default = mk.cone_probe(ops, samples=10, seed=4)
+        np.testing.assert_array_equal(default.ratios, explicit.ratios)
+
+    def test_sampled_points_are_not_kept(self, default_instance):
+        ops = list(default_instance.operators)
+        tracemalloc.start()
+        try:
+            report = mk.cone_probe(ops, radius=1.0, samples=200, seed=1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.pairs) == 200
+        assert held < 2**20
 
     def test_degenerate_sampling_flag(self, tiny_unit_op):
         report = mk.cone_probe(tiny_unit_op.with_scale(0.0), radius=1.0, samples=5, seed=3)
