@@ -31,6 +31,7 @@ from .transform import DftPlan, embed
 from .operators import (
     ConeProbeReport,
     JointForward,
+    JointLinearization,
     LinearForward,
     Problem,
     ScalarProductModel,

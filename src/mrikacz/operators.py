@@ -9,6 +9,16 @@ k-space positions and c is a scale factor.  The joint operator takes
 (P, coefficients) and is bilinear in (P, coeff[i]).  All adjoint formulas
 follow the package inner product (conjugate-linear in the second slot) and
 are pinned by dot-product tests rather than trusted symbolically.
+
+The joint derivative's adjoint maps data r to the image block
+c * conj(S_i) * back and, in receiver i's row of the coefficient block,
+
+    c * conj(B @ (P * conj(back))),    back = F* embed(r),
+
+where B is the (b_num, p_num) basis matrix: one pixel-wise product and one
+b_num-row matrix-vector product.  ``linearize`` evaluates S_i once at a
+point; the Kaczmarz loop passes the result to ``apply``, ``derivative`` and
+``adjoint_derivative``, which also accept the plain point.
 """
 
 from __future__ import annotations
@@ -110,6 +120,9 @@ class LinearForward(_ReceiverOperator):
     # A linear map is its own derivative at every point, so the Kaczmarz loop
     # and the cone probe call these exactly as they call ``JointForward``'s.
 
+    def linearize(self, x: ComplexImage) -> ComplexImage:
+        return x
+
     def derivative(self, x: ComplexImage, dx: ComplexImage) -> MeasurementVector:
         return self.apply(dx)
 
@@ -120,8 +133,26 @@ class LinearForward(_ReceiverOperator):
         return self.norm_bound
 
 
+@dataclass(frozen=True, eq=False)
+class JointLinearization:
+    """A joint operator at one checked point, with its sensitivity S_i(x) evaluated once.
+
+    Made by :meth:`JointForward.linearize`; ``sensitivity`` is the read-only
+    flat pixel array of S_i(x).
+    """
+
+    operator: JointForward
+    point: JointParameter
+    sensitivity: np.ndarray
+
+
 class JointForward(_ReceiverOperator):
-    """Parameter-to-data operator of one receiver on (image, coefficients)."""
+    """Parameter-to-data operator of one receiver on (image, coefficients).
+
+    Every method taking a point ``x`` accepts a :class:`JointParameter` or a
+    :class:`JointLinearization` of this operator; one made by another
+    operator is re-linearized from its point.
+    """
 
     def _check_point(self, x: JointParameter):
         if x.image.shape != self.model.grid:
@@ -136,31 +167,43 @@ class JointForward(_ReceiverOperator):
         """This receiver's sensitivity at ``x`` as a flat pixel array."""
         return combine_basis(self.model.basis_matrix, x.coefficients[self.receiver])
 
-    def apply(self, x: JointParameter) -> MeasurementVector:
+    def linearize(self, x) -> JointLinearization:
+        """``x`` checked once, with S_i(x) computed once, for the methods below."""
+        if isinstance(x, JointLinearization):
+            if x.operator is self:
+                return x
+            x = x.point
         self._check_point(x)
-        return _measure(self.plan, self.mask, self.scale, x.image.values * self._sensitivity(x))
+        sensitivity = self._sensitivity(x)
+        sensitivity.setflags(write=False)
+        return JointLinearization(self, x, sensitivity)
 
-    def derivative(self, x: JointParameter, dx: JointParameter) -> MeasurementVector:
+    def apply(self, x) -> MeasurementVector:
+        lin = self.linearize(x)
+        return _measure(self.plan, self.mask, self.scale, lin.point.image.values * lin.sensitivity)
+
+    def derivative(self, x, dx: JointParameter) -> MeasurementVector:
         """Directional derivative at ``x``; bilinear product rule."""
-        self._check_point(x)
+        lin = self.linearize(x)
         self._check_point(dx)
-        term_image = dx.image.values * self._sensitivity(x)
-        term_coeff = x.image.values * self._sensitivity(dx)
+        term_image = dx.image.values * lin.sensitivity
+        term_coeff = lin.point.image.values * self._sensitivity(dx)
         return _measure(self.plan, self.mask, self.scale, term_image + term_coeff)
 
-    def adjoint_derivative(self, x: JointParameter, data: MeasurementVector) -> JointParameter:
+    def adjoint_derivative(self, x, data: MeasurementVector) -> JointParameter:
         """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
-        self._check_point(x)
+        lin = self.linearize(x)
         back = _back(self.plan, self.mask, data)
-        image_part = np.conj(self._sensitivity(x)) * back * self.scale
-        # <data, P F (x * basis_n)> = <F* P* data, x * basis_n>: reuse ``back``.
-        coeff_part = np.zeros_like(x.coefficients)
-        coeff_part[self.receiver] = self.scale * (
-            np.conj(self.model.basis_matrix * x.image.values) @ back
+        image_part = np.conj(lin.sensitivity) * back * self.scale
+        # <data, P F (image * basis_n)> = <back, image * basis_n>, the conjugate of
+        # basis_n @ (image * conj(back)): one pixel-wise product and a b_num-row matvec.
+        coeff_part = np.zeros_like(lin.point.coefficients)
+        coeff_part[self.receiver] = self.scale * np.conj(
+            self.model.basis_matrix @ (lin.point.image.values * np.conj(back))
         )
         return _fresh(JointParameter, _fresh(ComplexImage, self.model.grid, image_part), coeff_part)
 
-    def derivative_norm_bound(self, x: JointParameter) -> float:
+    def derivative_norm_bound(self, x) -> float:
         """Upper bound |scale| * sqrt(p_num) * hypot(max|S_i(x)|, b) on ||F_i'(x)||.
 
         The product rule splits the derivative into dP * S_i(x) and
@@ -169,9 +212,9 @@ class JointForward(_ReceiverOperator):
         colnorm(B)_k the norm of the basis values at pixel k.  At a zero image
         b = 0, and the bound is the linear operator's :attr:`~LinearForward.norm_bound`.
         """
-        self._check_point(x)
-        s_max = float(np.abs(self._sensitivity(x)).max())
-        b = float(np.linalg.norm(x.image.values * np.linalg.norm(self.model.basis_matrix, axis=0)))
+        lin = self.linearize(x)
+        s_max = float(np.abs(lin.sensitivity).max())
+        b = float(np.linalg.norm(lin.point.image.values * self.model.basis_colnorms))
         return self._transform_bound * math.hypot(s_max, b)
 
 

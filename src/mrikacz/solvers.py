@@ -10,9 +10,11 @@ whenever the residual is already within tau * delta of the noise level.
 ``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz) and needs every
 ||F_i'(x_0)|| <= 1; ``method="lsdk"`` uses the steepest-descent step
 ||s_k||^2 / ||F_i'(x_k) s_k||^2.  The linear and joint runs share one loop;
-a linear operator is its own derivative.  The run stops at the first cycle
-whose steps all loped, at a cycle cap, or (for exact data, where loping
-never triggers) once the residual has dropped by a configured factor.
+a linear operator is its own derivative.  Each step linearizes its operator
+once at x_k and passes the result to the residual, direction and step size.
+The run stops at the first cycle whose steps all loped, at a cycle cap, or
+(for exact data, where loping never triggers) once the residual has dropped
+by a configured factor.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        for name in ("tau", "eps_stop", "exact_data_rtol"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not self.tau > 2:
             raise ConfigurationError(f"tau must be > 2, got {self.tau}")
         if self.max_cycles < 1:
@@ -191,7 +201,10 @@ def _iterate(x, problem, config, reference, metadata):
         cycle_any_active = False
         for i in range(r_num):
             op = ops[i]
-            residual = op.apply(x) - measurements.vectors[i]
+            # One linearization per step: a joint operator evaluates S_i(x) once for
+            # the residual, the direction and the step size; a linear one returns x.
+            lin = op.linearize(x)
+            residual = op.apply(lin) - measurements.vectors[i]
             rnorm = grid.norm(residual)
             if not math.isfinite(rnorm):
                 # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
@@ -204,11 +217,11 @@ def _iterate(x, problem, config, reference, metadata):
             alpha = 1.0
             if omega:
                 cycle_any_active = True
-                s = op.adjoint_derivative(x, residual)
+                s = op.adjoint_derivative(lin, residual)
                 s_norm = grid.norm(s)
                 if config.method == METHOD_LSDK:
                     try:
-                        alpha = sdk_step_size(partial(op.derivative, x), s, s_norm)
+                        alpha = sdk_step_size(partial(op.derivative, lin), s, s_norm)
                     except SingularStepError as exc:
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
-from mrikacz import io
+from mrikacz import cli, io
 from mrikacz.cli import _write_failure, main
 from mrikacz.errors import FileFormatError, NumericalFailure
 
@@ -699,6 +699,50 @@ class TestReconstructCommand:
     def test_bad_tau_is_config_error(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", tau=1.5)
         assert main(["reconstruct", "--config", str(run)]) == 2
+
+    @pytest.mark.parametrize("tau", ["inf", "1e400", "nan"])
+    def test_non_finite_tau_flag_is_config_error(self, tmp_path, generated, capsys, tau):
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        assert main(["reconstruct", "--config", str(run), "--tau", tau]) == 2
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize(
+        "max_cycles, reason, sweeps", [(None, "stopping-rule", 0), (1, "cycle-cap", 4)]
+    )
+    def test_final_residuals_come_from_the_trace_after_an_idle_cycle(
+        self, tmp_path, generated, monkeypatch, max_cycles, reason, sweeps
+    ):
+        """A last cycle whose steps all loped left x as it was: no transform runs after the solve."""
+        solved = []
+        forward_after_solve = []
+
+        def run_linear(*args, **kwargs):
+            result = mk.run_linear(*args, **kwargs)
+            solved.append((args[0], result))
+            return result
+
+        def forward_values(plan, values):
+            if solved:
+                forward_after_solve.append(values)
+            return forward(plan, values)
+
+        forward = mk.DftPlan.forward_values
+        monkeypatch.setattr(cli, "run_linear", run_linear)
+        monkeypatch.setattr(mk.DftPlan, "forward_values", forward_values)
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
+        flags = [] if max_cycles is None else ["--max-cycles", str(max_cycles)]
+        assert main(["reconstruct", "--config", str(run), *flags]) == 0
+        assert len(forward_after_solve) == sweeps
+        monkeypatch.undo()
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
+        assert summary["termination_reason"] == reason
+        (problem, result), = solved
+        sweep = [
+            mk.norm(op.apply(result.final) - y)
+            for op, y in zip(problem.operators, problem.measurements.vectors)
+        ]
+        assert summary["final_residuals"] == sweep
 
     def test_unscaled_joint_llk_is_config_error(self, tmp_path, generated, capsys):
         # The CLI rescales only linear problems, so joint llk is refused before any work.

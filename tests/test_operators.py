@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
+from mrikacz import grid, operators
 from mrikacz.errors import DimensionMismatch
 
 from conftest import (
@@ -148,6 +149,79 @@ class TestJointForward:
                 img = random_image(rng, shape)
                 x = mk.JointParameter(img, coeff)
                 np.testing.assert_array_equal(jop.apply(x).values, lin_op.apply(img).values)
+
+
+class TestLinearization:
+    def test_linearization_gives_the_plain_point_results_bit_for_bit(self, default_instance):
+        rng = np.random.default_rng(47)
+        shape = default_instance.spec.grid
+        r_num, b_num = default_instance.model.coefficients.shape
+        jop = mk.joint_from_linear(default_instance.operators[2])
+        x, dx = random_joint(rng, shape, r_num, b_num), random_joint(rng, shape, r_num, b_num)
+        y = random_measurement(rng, jop.mask)
+        lin = jop.linearize(x)
+        assert lin.operator is jop and lin.point is x and jop.linearize(lin) is lin
+        expected = sum(c * b.values for c, b in zip(x.coefficients[2], jop.model.basis))
+        np.testing.assert_allclose(lin.sensitivity, expected, rtol=1e-13)
+        np.testing.assert_array_equal(jop.apply(lin).values, jop.apply(x).values)
+        np.testing.assert_array_equal(jop.derivative(lin, dx).values, jop.derivative(x, dx).values)
+        np.testing.assert_array_equal(
+            joint_pack(jop.adjoint_derivative(lin, y)), joint_pack(jop.adjoint_derivative(x, y))
+        )
+        assert jop.derivative_norm_bound(lin) == jop.derivative_norm_bound(x)
+
+    def test_linearization_is_a_frozen_value(self):
+        lin = unit_joint_op().linearize(mk.JointParameter(mk.ComplexImage.constant(SHAPE2, 1.0), [[2.0]]))
+        np.testing.assert_array_equal(lin.sensitivity, [2.0] * 4)
+        assert not lin.sensitivity.flags.writeable
+        with pytest.raises(AttributeError):
+            lin.point = None
+
+    def test_another_operators_linearization_is_redone_from_its_point(self, default_instance):
+        rng = np.random.default_rng(53)
+        r_num, b_num = default_instance.model.coefficients.shape
+        x = random_joint(rng, default_instance.spec.grid, r_num, b_num)
+        op0, op1 = default_instance.joint_problem().operators[:2]
+        lin0 = op0.linearize(x)
+        lin1 = op1.linearize(lin0)
+        assert lin1.operator is op1 and lin1.point is x
+        np.testing.assert_array_equal(op1.apply(lin0).values, op1.apply(x).values)
+        assert not np.array_equal(lin1.sensitivity, lin0.sensitivity)
+
+    def test_linearize_checks_the_point(self, default_instance):
+        jop = default_instance.joint_problem().operators[0]
+        x = mk.JointParameter.zero(default_instance.spec.grid, 1, 1)
+        with pytest.raises(DimensionMismatch, match="coefficient block"):
+            jop.linearize(x)
+
+    def test_linear_operator_linearizes_to_its_argument(self, tiny_unit_op):
+        x = mk.ComplexImage.constant(SHAPE2, 1.0)
+        assert tiny_unit_op.linearize(x) is x
+
+
+def test_basis_colnorms_are_computed_on_first_use_and_read_only():
+    model = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=5)).model
+    assert "basis_colnorms" not in model.__dict__
+    colnorms = model.basis_colnorms
+    assert model.basis_colnorms is colnorms and not colnorms.flags.writeable
+    np.testing.assert_array_equal(colnorms, np.linalg.norm(model.basis_matrix, axis=0))
+
+
+def test_joint_lsdk_run_computes_one_sensitivity_per_step(monkeypatch):
+    """r_num for the initial residuals, one linearization per step, S_i(dx) per step size."""
+    problem = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21)).joint_problem()
+    calls = []
+
+    def combine_basis(basis_matrix, coefficients):
+        calls.append(coefficients)
+        return grid.combine_basis(basis_matrix, coefficients)
+
+    monkeypatch.setattr(operators, "combine_basis", combine_basis)
+    result = mk.run_joint(problem, mk.SolverConfig(max_cycles=20))
+    r_num, n_steps = result.trace.r_num, result.trace.n_steps
+    n_active = int(result.trace.omegas.sum())
+    assert 0 < n_active < n_steps
+    assert len(calls) == r_num + n_steps + n_active
 
 
 class TestDerivativeJoint:

@@ -4,7 +4,7 @@ import pytest
 import mrikacz as mk
 from mrikacz.errors import ConfigurationError, NumericalFailure, SingularStepError
 
-from conftest import op_matrix, random_image
+from conftest import dft_matrix, joint_pack, op_matrix, random_image
 
 SHAPE2 = mk.GridShape(2, 2)
 PLAN4 = mk.DftPlan(4)
@@ -77,6 +77,12 @@ class TestSolverConfig:
     def test_max_cycles_positive(self):
         with pytest.raises(ConfigurationError):
             mk.SolverConfig(max_cycles=0)
+
+    @pytest.mark.parametrize("name", ["tau", "eps_stop", "exact_data_rtol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
+    def test_thresholds_must_be_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            mk.SolverConfig(**{name: value})
 
 
 class TestRunLinear:
@@ -348,21 +354,23 @@ def test_run_rejects_the_other_operator_family(default_instance, run, build, exp
         run(getattr(default_instance, build)())
 
 
-def dense_replay(problem, config):
+def dense_replay(problem, config, jacobian, x, degree=1):
     """The loping Kaczmarz iteration on dense matrices, written from its definition.
 
-    Returns the loping decisions, step sizes and residual norms of every step,
-    and the final iterate, for ``eps_stop`` = 0 and noisy data.
+    ``jacobian(op, x)`` is receiver ``op``'s Jacobian matrix at ``x`` and
+    F_i(x) = J_i(x) x / ``degree`` (Euler's identity: a linear map has degree
+    1, a bilinear one degree 2).  Returns the loping decisions, step sizes and
+    residual norms of every step, and the final iterate, for ``eps_stop`` = 0
+    and noisy data.
     """
-    matrices = [op_matrix(op) for op in problem.operators]
     data = [v.values for v in problem.measurements.vectors]
     deltas = problem.measurements.deltas
-    x = np.zeros(matrices[0].shape[1], dtype=complex)
     omegas, alphas, residuals = [], [], []
     for _ in range(config.max_cycles):
         any_active = False
-        for a, y, delta in zip(matrices, data, deltas):
-            r = a @ x - y
+        for op, y, delta in zip(problem.operators, data, deltas):
+            a = jacobian(op, x)
+            r = a @ x / degree - y
             r_norm = np.linalg.norm(r)
             omega = int(r_norm > config.tau * delta)
             alpha = 1.0
@@ -391,8 +399,54 @@ def test_linear_run_matches_dense_replay(method, mask_family, seed):
     config = mk.SolverConfig(method=method)
     result = mk.run_linear(problem, config)
     assert result.reason == mk.STOPPING_RULE
-    omegas, alphas, residuals, final = dense_replay(problem, config)
+    matrices = {op.receiver: op_matrix(op) for op in problem.operators}
+    x0 = np.zeros(spec.grid.p_num, dtype=complex)
+    omegas, alphas, residuals, final = dense_replay(
+        problem, config, lambda op, x: matrices[op.receiver], x0
+    )
     np.testing.assert_array_equal(result.trace.omegas, omegas)
     np.testing.assert_allclose(result.trace.alphas, alphas, rtol=1e-12, atol=0)
     np.testing.assert_allclose(result.trace.residuals, residuals, rtol=1e-12, atol=0)
     assert np.linalg.norm(result.final.values - final) <= 1e-12 * np.linalg.norm(final)
+
+
+def joint_jacobian(op, x):
+    """Dense Jacobian of a ``JointForward`` at the packed point ``x`` = (P, c).
+
+    Columns of the image block: scale * DFT rows at the mask * diag(S_i);
+    columns of receiver i's coefficients: the same rows * diag(P) * B^T;
+    every other receiver's columns are zero.  S_i is summed here from the
+    basis images and the coefficients in ``x``, so neither the operator nor
+    the transform is evaluated.
+    """
+    model = op.model
+    p_num, (r_num, b_num) = model.grid.p_num, model.coefficients.shape
+    basis = np.stack([b.values for b in model.basis])
+    image, coefficients = x[:p_num], x[p_num:].reshape(r_num, b_num)
+    sensitivity = sum(c * b for c, b in zip(coefficients[op.receiver], basis))
+    rows = op.scale * dft_matrix(p_num, op.mask.indices)
+    jac = np.zeros((op.mask.p_proj, p_num + r_num * b_num), dtype=complex)
+    jac[:, :p_num] = rows * sensitivity
+    start = p_num + op.receiver * b_num
+    jac[:, start : start + b_num] = (rows * image) @ basis.T
+    return jac
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_joint_run_matches_dense_replay(seed):
+    spec = mk.InstanceSpec(
+        p_hor=8, p_ver=8, r_num=2, b_num=2, mask_family="random", deltas=0.01, seed=seed
+    )
+    problem = mk.synthesize(spec).joint_problem()
+    config = mk.SolverConfig(method="lsdk", max_cycles=30)
+    result = mk.run_joint(problem, config)
+    coefficients = np.zeros((spec.r_num, spec.b_num), dtype=complex)
+    coefficients[:, 0] = 1.0
+    x0 = np.concatenate([np.zeros(spec.grid.p_num, dtype=complex), coefficients.ravel()])
+    omegas, alphas, residuals, final = dense_replay(problem, config, joint_jacobian, x0, degree=2)
+    assert int(omegas.sum()) > 0
+    np.testing.assert_array_equal(result.trace.omegas, omegas)
+    np.testing.assert_allclose(result.trace.alphas, alphas, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(result.trace.residuals, residuals, rtol=1e-10, atol=0)
+    packed = joint_pack(result.final)
+    assert np.linalg.norm(packed - final) <= 1e-10 * np.linalg.norm(final)
