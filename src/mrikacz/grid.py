@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -288,13 +287,6 @@ class SensitivityModel:
     def r_num(self) -> int:
         return int(self.coefficients.shape[0])
 
-    @cached_property
-    def basis_colnorms(self) -> np.ndarray:
-        """Read-only norms of the basis values at each pixel, ``colnorm(B)``, computed on first use."""
-        colnorms = np.linalg.norm(self.basis_matrix, axis=0)
-        colnorms.setflags(write=False)
-        return colnorms
-
     def materialize(self, receiver: int) -> ComplexImage:
         """Sum the basis with receiver ``receiver``'s coefficients."""
         if not (0 <= receiver < self.r_num):
@@ -390,24 +382,15 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(b.values, a.values))
 
 
-def _squared_norm(values: np.ndarray):
-    """re . re + im . im of a complex array, summed as ``numpy.linalg.norm`` sums it."""
-    flat = values.ravel(order="K")
-    re, im = flat.real, flat.imag
-    return re.dot(re) + im.dot(im)
-
-
 def norm(a) -> float:
     """Euclidean norm sqrt(Re inner_product(a, a)).
 
-    An image or measurement vector gets numpy's own formula
-    sqrt(re . re + im . im), so its norm equals ``numpy.linalg.norm`` of its
-    values bit for bit.  A joint parameter takes one square root of its two
-    blocks' summed squares: sqrt(||image||^2 + ||coefficients||^2).
+    A joint parameter's norm is sqrt(||image||^2 + ||coefficients||^2), the
+    two blocks' ``numpy.linalg.norm`` combined.
     """
     if isinstance(a, JointParameter):
-        return float(np.sqrt(_squared_norm(a.image.values) + _squared_norm(a.coefficients)))
-    return float(np.sqrt(_squared_norm(a.values)))
+        return float(np.sqrt(np.linalg.norm(a.image.values) ** 2 + np.linalg.norm(a.coefficients) ** 2))
+    return float(np.linalg.norm(a.values))
 
 
 def all_finite(a) -> bool:

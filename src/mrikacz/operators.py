@@ -214,7 +214,8 @@ class JointForward(_ReceiverOperator):
         """
         lin = self.linearize(x)
         s_max = float(np.abs(lin.sensitivity).max())
-        b = float(np.linalg.norm(lin.point.image.values * self.model.basis_colnorms))
+        colnorms = np.linalg.norm(self.model.basis_matrix, axis=0)
+        b = float(np.linalg.norm(lin.point.image.values * colnorms))
         return self._transform_bound * math.hypot(s_max, b)
 
 

@@ -8,7 +8,10 @@ The transform acts on the row-major flattening of an image:
 There is no forward normalization; adjoint(forward(f)) == p_num * f, and the
 inverse is adjoint / p_num.  Both directions are evaluated by ``numpy.fft``
 at any length in O(p_num log p_num); the tests check them against the dense
-O(p_num^2) matrix.
+O(p_num^2) matrix.  Where numpy exposes the unnormalized transform ufuncs
+behind ``numpy.fft.fft`` and ``ifft``, the plan calls them directly and
+skips the wrapper's per-call argument handling; the values are the same bit
+for bit, and without them the plan calls ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .grid import ComplexImage, KSpaceMask, MeasurementVector, _fresh
+
+try:  # numpy >= 2.0: the ufuncs that numpy.fft.fft and ifft call, with factor 1
+    from numpy.fft._pocketfft_umath import fft as _fft_ufunc, ifft as _ifft_ufunc
+except ImportError:  # pragma: no cover - older numpy
+    _fft_ufunc = _ifft_ufunc = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +49,17 @@ class DftPlan:
 
     def forward_values(self, values: np.ndarray) -> np.ndarray:
         """Forward transform on a flat complex array."""
-        return np.fft.fft(self._checked(values))
+        values = self._checked(values)
+        if _fft_ufunc is None:
+            return np.fft.fft(values)
+        return _fft_ufunc(values, 1, out=np.empty_like(values))
 
     def adjoint_values(self, values: np.ndarray) -> np.ndarray:
         """Adjoint transform (conjugate kernel, unnormalized) on a flat complex array."""
-        return np.fft.ifft(self._checked(values), norm="forward")
+        values = self._checked(values)
+        if _ifft_ufunc is None:
+            return np.fft.ifft(values, norm="forward")
+        return _ifft_ufunc(values, 1, out=np.empty_like(values))
 
 
 def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:

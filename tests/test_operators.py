@@ -199,14 +199,6 @@ class TestLinearization:
         assert tiny_unit_op.linearize(x) is x
 
 
-def test_basis_colnorms_are_computed_on_first_use_and_read_only():
-    model = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=5)).model
-    assert "basis_colnorms" not in model.__dict__
-    colnorms = model.basis_colnorms
-    assert model.basis_colnorms is colnorms and not colnorms.flags.writeable
-    np.testing.assert_array_equal(colnorms, np.linalg.norm(model.basis_matrix, axis=0))
-
-
 def test_joint_lsdk_run_computes_one_sensitivity_per_step(monkeypatch):
     """r_num for the initial residuals, one linearization per step, S_i(dx) per step size."""
     problem = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21)).joint_problem()

@@ -118,6 +118,16 @@ class TestFastNaiveAgreement:
         np.testing.assert_allclose(plan.forward_values(x)[bins], rows @ x, atol=1e-9)
         np.testing.assert_allclose(plan.adjoint_values(x)[bins], np.conj(rows) @ x, atol=1e-9)
 
+    @pytest.mark.parametrize("p_num", [1, 6, 1024, 1296])
+    def test_equals_numpy_fft_bit_for_bit(self, p_num):
+        """The plan's direct ufunc calls give what numpy.fft gives, so outputs do not
+        depend on which of the two paths ran."""
+        rng = np.random.default_rng(p_num + 1)
+        plan = mk.DftPlan(p_num)
+        x = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
+        np.testing.assert_array_equal(plan.forward_values(x), np.fft.fft(x))
+        np.testing.assert_array_equal(plan.adjoint_values(x), np.fft.ifft(x, norm="forward"))
+
 
 class TestOperatorNorm:
     @pytest.mark.parametrize("p_num", [4, 64])
