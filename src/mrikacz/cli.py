@@ -209,6 +209,8 @@ def cmd_probe_cone(args) -> int:
         targets = _PROBE_TARGETS if instance_dir else ("scalar",)
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    if radius <= 0:
+        raise ConfigurationError("radius must be > 0")
     if any(t not in _PROBE_TARGETS for t in targets):
         raise ConfigurationError(f"targets must be among scalar/linear/joint, got {targets}")
     needs_instance = any(t != "scalar" for t in targets)
@@ -230,7 +232,7 @@ def cmd_probe_cone(args) -> int:
             target = list(instance.joint_problem().operators)
         section = report[name] = cone_probe(
             target, radius=radius, samples=samples, seed=seed
-        ).as_dict(include_pairs=name == "scalar")
+        ).as_dict()
         if section["degenerate"]:
             print(f"warning: {name} probe sampling was degenerate", file=sys.stderr)
         print(

@@ -55,6 +55,41 @@ def _fresh(cls, first, values):
     return obj
 
 
+class _Vector:
+    """Vector-space arithmetic of the value types below, written once.
+
+    A subclass supplies ``_check_layout(other)``, which raises
+    :class:`DimensionMismatch` unless ``other``, a value of its own type,
+    lies in the same space, and ``_map(op, other=None)``, which applies the
+    element-wise ``op`` to its arrays (paired with the matching arrays of
+    ``other``, if given) and adopts the results with :func:`_fresh`.  An
+    operand of another type gives ``NotImplemented``.
+    """
+
+    def _binary(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_layout(other)
+        return self._map(op, other)
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return self._map(lambda values: values * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        # Not a product with -1, which turns -0.0 into +0.0 and a complex inf into nan.
+        return self._map(np.negative)
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Rectangular pixel grid with ``p_hor`` columns and ``p_ver`` rows."""
@@ -79,7 +114,7 @@ class GridShape:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexImage:
+class ComplexImage(_Vector):
     """Complex-valued function on a :class:`GridShape`, flattened row-major."""
 
     shape: GridShape
@@ -110,28 +145,13 @@ class ComplexImage:
         """View the values as a (p_ver, p_hor) array."""
         return self.values.reshape(self.shape.p_ver, self.shape.p_hor)
 
-    def _binary(self, other, op):
-        if not isinstance(other, ComplexImage):
-            return NotImplemented
+    def _check_layout(self, other):
         if other.shape != self.shape:
             raise DimensionMismatch(f"grid mismatch: {self.shape} vs {other.shape}")
-        return _fresh(ComplexImage, self.shape, op(self.values, other.values))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return _fresh(ComplexImage, self.shape, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _fresh(ComplexImage, self.shape, -self.values)
+    def _map(self, op, other=None):
+        values = op(self.values) if other is None else op(self.values, other.values)
+        return _fresh(ComplexImage, self.shape, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +185,7 @@ class KSpaceMask:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementVector:
+class MeasurementVector(_Vector):
     """Per-receiver k-space data, ordered like ``mask.indices``."""
 
     mask: KSpaceMask
@@ -176,25 +196,13 @@ class MeasurementVector:
             self, "values", _frozen_complex(self.values, self.mask.p_proj, "measurement values")
         )
 
-    def _binary(self, other, op):
-        if not isinstance(other, MeasurementVector):
-            return NotImplemented
+    def _check_layout(self, other):
         if not self.mask.matches(other.mask):
             raise DimensionMismatch("measurement vectors live on different masks")
-        return _fresh(MeasurementVector, self.mask, op(self.values, other.values))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return _fresh(MeasurementVector, self.mask, self.values * scalar)
-
-    __rmul__ = __mul__
+    def _map(self, op, other=None):
+        values = op(self.values) if other is None else op(self.values, other.values)
+        return _fresh(MeasurementVector, self.mask, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +312,7 @@ def combine_basis(basis_matrix: np.ndarray, coefficients: np.ndarray) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False)
-class JointParameter:
+class JointParameter(_Vector):
     """A point (image, coefficients) of the joint identification space.
 
     The coefficient block is an (r_num, b_num) complex array.  Vector-space
@@ -326,45 +334,16 @@ class JointParameter:
     def zero(cls, shape: GridShape, r_num: int, b_num: int) -> "JointParameter":
         return cls(ComplexImage.zero(shape), np.zeros((r_num, b_num)))
 
-    def _binary(self, other, op):
-        if not isinstance(other, JointParameter):
-            return NotImplemented
+    def _check_layout(self, other):
         if self.coefficients.shape != other.coefficients.shape:
             raise DimensionMismatch("coefficient blocks differ in shape")
-        return _fresh(
-            JointParameter,
-            self.image._binary(other.image, op),
-            op(self.coefficients, other.coefficients),
-        )
+        self.image._check_layout(other.image)
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return _fresh(JointParameter, self.image * scalar, self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-
-def _check_same_kind(a, b):
-    if isinstance(a, ComplexImage) and isinstance(b, ComplexImage):
-        if a.shape != b.shape:
-            raise DimensionMismatch(f"grid mismatch: {a.shape} vs {b.shape}")
-        return
-    if isinstance(a, MeasurementVector) and isinstance(b, MeasurementVector):
-        if not a.mask.matches(b.mask):
-            raise DimensionMismatch("measurement vectors live on different masks")
-        return
-    if isinstance(a, JointParameter) and isinstance(b, JointParameter):
-        if a.image.shape != b.image.shape or a.coefficients.shape != b.coefficients.shape:
-            raise DimensionMismatch("joint parameters differ in layout")
-        return
-    raise DimensionMismatch(f"incompatible operands: {type(a).__name__} vs {type(b).__name__}")
+    def _map(self, op, other=None):
+        if other is None:
+            return _fresh(JointParameter, self.image._map(op), op(self.coefficients))
+        image = self.image._map(op, other.image)
+        return _fresh(JointParameter, image, op(self.coefficients, other.coefficients))
 
 
 def inner_product(a, b) -> complex:
@@ -374,7 +353,9 @@ def inner_product(a, b) -> complex:
     measurement vectors on the same mask, or two joint parameters (direct
     sum of the image and coefficient inner products).
     """
-    _check_same_kind(a, b)
+    if not isinstance(a, _Vector) or type(a) is not type(b):
+        raise DimensionMismatch(f"incompatible operands: {type(a).__name__} vs {type(b).__name__}")
+    a._check_layout(b)
     if isinstance(a, JointParameter):
         return complex(
             np.vdot(b.image.values, a.image.values) + np.vdot(b.coefficients, a.coefficients)

@@ -359,10 +359,11 @@ class ScalarProductModel:
 class ConeProbeReport:
     """Sampled tangential-cone ratios ||F(a) - F(b) - F'(a)(a-b)|| / ||F(a) - F(b)||.
 
-    ``pairs`` holds one summary per sampled pair, not the pair itself: the
-    coordinates for the scalar model, the two norms otherwise.
+    ``samples`` counts the sampled pairs, which are not kept; ``pairs`` holds
+    the coordinates of each pair for the scalar model and is empty otherwise.
     """
 
+    samples: int
     pairs: tuple
     ratios: np.ndarray
     excluded: int
@@ -379,24 +380,18 @@ class ConeProbeReport:
     def exceeds_half(self) -> bool:
         return not self.degenerate and self.max_ratio >= 0.5
 
-    def as_dict(self, include_pairs: bool = False) -> dict:
+    def as_dict(self) -> dict:
         out = {
-            "samples": len(self.pairs),
+            "samples": self.samples,
             "ratios": [float(r) for r in self.ratios],
             "max_ratio": self.max_ratio if np.isfinite(self.max_ratio) else None,
             "exceeds_half": self.exceeds_half,
             "excluded": int(self.excluded),
             "degenerate": self.degenerate,
         }
-        if include_pairs:
+        if self.pairs:
             out["pairs"] = list(self.pairs)
         return out
-
-
-def _pair_summary(a, b):
-    if isinstance(a, np.ndarray):
-        return {"x": [float(v) for v in a], "x_bar": [float(v) for v in b]}
-    return {"x_norm": grid.norm(a), "x_bar_norm": grid.norm(b)}
 
 
 def _random_like(rng: np.random.Generator, like):
@@ -457,10 +452,10 @@ def cone_probe(
     offset * radius`` with ``offset`` uniformly directed and of norm <= 1;
     ``center`` defaults to the zero of the domain (``np.zeros(2)``, the zero
     image, or a zero :class:`JointParameter` of the model's coefficient
-    shape).  The points are summarised as they are drawn and not kept (see
-    :class:`ConeProbeReport`).  Pairs whose denominator falls below 1e-14 are
-    excluded from the statistic and counted separately; if every pair is
-    excluded the report is flagged degenerate.
+    shape).  The points are not kept; only the scalar model's coordinates
+    are recorded (see :class:`ConeProbeReport`).  Pairs whose denominator
+    falls below 1e-14 are excluded from the statistic and counted
+    separately; if every pair is excluded the report is flagged degenerate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -471,17 +466,19 @@ def cone_probe(
         raise ValueError("no operators to probe")
     rng = np.random.default_rng(seed)
     center = _origin(targets[0], center)
+    keep_pairs = isinstance(targets[0], ScalarProductModel)
     pairs = []
     ratios = []
     excluded = 0
     for _ in range(samples):
         x = center + _ball_offset(rng, center) * radius
         x_bar = center + _ball_offset(rng, center) * radius
-        pairs.append(_pair_summary(x, x_bar))
+        if keep_pairs:
+            pairs.append({"x": [float(v) for v in x], "x_bar": [float(v) for v in x_bar]})
         for op in targets:
             num, den = _probe_eval(op, x, x_bar)
             if den < _DENOM_FLOOR:
                 excluded += 1
             else:
                 ratios.append(num / den)
-    return ConeProbeReport(tuple(pairs), np.asarray(ratios, dtype=float), excluded)
+    return ConeProbeReport(samples, tuple(pairs), np.asarray(ratios, dtype=float), excluded)

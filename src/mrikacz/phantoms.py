@@ -188,8 +188,18 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r_num < 1:
-            raise ConfigurationError("r_num must be >= 1")
+        for name in ("p_hor", "p_ver", "r_num", "b_num"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name, families in (
+            ("phantom_family", PHANTOM_FAMILIES),
+            ("basis_family", BASIS_FAMILIES),
+            ("mask_family", MASK_FAMILIES),
+        ):
+            if getattr(self, name) not in families:
+                raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}")
         if self.delta_mode not in (DELTA_ABSOLUTE, DELTA_RELATIVE):
             raise ConfigurationError(f"unknown delta_mode {self.delta_mode!r}")
         deltas = self.deltas

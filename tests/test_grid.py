@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,56 @@ class TestComplexImage:
     def test_arithmetic_rejects_other_grids(self):
         with pytest.raises(DimensionMismatch):
             image([1, 2]) + image([1, 2], p_hor=1, p_ver=2)
+
+
+VECTOR_KINDS = ("image", "measurement", "joint")
+
+
+def vector(kind, values, other_layout=False):
+    """A value of ``kind`` holding ``values``; ``other_layout`` gives one of the
+    same kind that lies in another space (another grid, mask or coefficient shape)."""
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    if kind == "image":
+        return image(values, p_hor=1, p_ver=n) if other_layout else image(values)
+    if kind == "measurement":
+        mask = mk.KSpaceMask(mk.GridShape(n + 1, 1), np.arange(n) + (1 if other_layout else 0))
+        return mk.MeasurementVector(mask, values)
+    return mk.JointParameter(image(values), values[:, None] if other_layout else values[None, :])
+
+
+def arrays(value):
+    if isinstance(value, mk.JointParameter):
+        return value.image.values, value.coefficients
+    return (value.values,)
+
+
+class TestSharedArithmetic:
+    """The vector-space operations every value type shares."""
+
+    @pytest.mark.parametrize("kind_a, kind_b", itertools.combinations(VECTOR_KINDS, 2))
+    def test_mixed_kinds_raise_type_error_in_both_orders(self, kind_a, kind_b):
+        a, b = vector(kind_a, [1, 2j]), vector(kind_b, [1, 2j])
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                left + right
+            with pytest.raises(TypeError):
+                left - right
+
+    @pytest.mark.parametrize("kind", VECTOR_KINDS)
+    def test_layout_mismatch_is_dimension_mismatch(self, kind):
+        a, b = vector(kind, [1, 2j]), vector(kind, [1, 2j], other_layout=True)
+        with pytest.raises(DimensionMismatch):
+            a - b
+        with pytest.raises(DimensionMismatch):
+            mk.inner_product(a, b)
+
+    @pytest.mark.parametrize("kind", VECTOR_KINDS)
+    def test_unary_minus_is_numpy_negative_bit_for_bit(self, kind):
+        inf = float("inf")
+        a = vector(kind, [complex(-0.0, 0.0), complex(0.0, -0.0), complex(inf, -inf), complex(-inf, 1)])
+        for got, values in zip(arrays(-a), arrays(a)):
+            np.testing.assert_array_equal(got.view(np.uint64), np.negative(values).view(np.uint64))
 
 
 class TestInnerProduct:

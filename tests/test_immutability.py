@@ -80,9 +80,11 @@ def library_results():
         ("measurement+", u + v, [u, v]),
         ("measurement-", u - v, [u, v]),
         ("measurement*scalar", u * 3, [u]),
+        ("-measurement", -u, [u]),
         ("joint+", x + dx, [x, dx]),
         ("joint-", x - dx, [x, dx]),
         ("joint*scalar", 0.5 * x, [x]),
+        ("-joint", -x, [x]),
         ("embed", embed(MASK, u), [u]),
         ("LinearForward.apply", linear.apply(f), [f]),
         ("LinearForward.adjoint", linear.adjoint(u), [u]),

@@ -325,6 +325,30 @@ class TestGenerateCommand:
         path = write_spec(tmp_path / "spec.json", **overrides)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_hor", 0),
+            ("p_ver", -2),
+            ("b_num", 0),
+            ("seed", -1),
+            ("phantom_family", "nope"),
+            ("basis_family", "nope"),
+            ("mask_family", "nope"),
+        ],
+    )
+    def test_bad_spec_value_is_io_error(self, tmp_path, capsys, field, value):
+        path = write_spec(tmp_path / "spec.json", **{field: value})
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert f"{path}: invalid spec: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys):
+        path = write_spec(tmp_path / "spec.json")
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_spec_file(self, tmp_path):
         rc = main(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 4
@@ -370,6 +394,11 @@ BAD_INSTANCE_FILES = [
     pytest.param(with_spec(p_hor=8.0), id="spec-p_hor-float"),
     pytest.param(with_spec(seed=True), id="spec-seed-bool"),
     pytest.param(with_spec(basis_family="nope"), id="basis-family-unknown"),
+    pytest.param(with_spec(phantom_family="nope"), id="phantom-family-unknown"),
+    pytest.param(with_spec(mask_family="nope"), id="mask-family-unknown"),
+    pytest.param(with_spec(p_hor=0), id="spec-p_hor-zero"),
+    pytest.param(with_spec(b_num=0), id="spec-b_num-zero"),
+    pytest.param(with_spec(seed=-1), id="spec-seed-negative"),
     pytest.param(with_spec(b_num=65), id="basis-b_num-too-large"),
     *(
         pytest.param(with_metadata("format_version", version), id=f"format-version-{label}")
@@ -797,4 +826,12 @@ class TestProbeConeCommand:
         with open(cfgpath, "w") as fh:
             json.dump({"samples": 0}, fh)
         assert main(["probe-cone", "--config", str(cfgpath), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field, value", [("samples", 0), ("radius", 0), ("radius", -1.5)])
+    def test_bad_sampling_is_usage_error_before_the_instance_is_read(self, tmp_path, capsys, field, value):
+        cfgpath = tmp_path / "probe.json"
+        cfgpath.write_text(json.dumps({field: value, "instance": str(tmp_path / "nonexistent")}))
+        assert main(["probe-cone", "--config", str(cfgpath), "--out", str(tmp_path / "out")]) == 2
+        assert "cannot open" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 

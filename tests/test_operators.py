@@ -431,7 +431,7 @@ class TestConeProbe:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(report.pairs) == 200
+        assert report.samples == 200
         assert held < 2**20
 
     def test_degenerate_sampling_flag(self, tiny_unit_op):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
+from mrikacz import transform
 from mrikacz.errors import DimensionMismatch
 
 from conftest import brute_inner, dft_loop, dft_matrix, random_image
@@ -127,6 +128,20 @@ class TestFastNaiveAgreement:
         x = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
         np.testing.assert_array_equal(plan.forward_values(x), np.fft.fft(x))
         np.testing.assert_array_equal(plan.adjoint_values(x), np.fft.ifft(x, norm="forward"))
+
+    @pytest.mark.parametrize("p_num", [6, 1296])
+    def test_numpy_fft_fallback_equals_the_ufunc_path(self, monkeypatch, p_num):
+        """The ``numpy.fft`` path taken where numpy lacks the transform ufuncs
+        (numpy < 2.0) gives the ufunc path's values bit for bit."""
+        rng = np.random.default_rng(p_num + 2)
+        plan = mk.DftPlan(p_num)
+        x = rng.standard_normal(p_num) + 1j * rng.standard_normal(p_num)
+        direct = plan.forward_values(x), plan.adjoint_values(x)
+        monkeypatch.setattr(transform, "_fft_ufunc", None)
+        monkeypatch.setattr(transform, "_ifft_ufunc", None)
+        fallback = plan.forward_values(x), plan.adjoint_values(x)
+        for got, want in zip(fallback, direct):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestOperatorNorm:
