@@ -33,7 +33,6 @@ _RUN_FIELDS = {
     "tau": io.NUMBER,
     "max_cycles": io.INTEGER,
     "joint": io.BOOLEAN,
-    "eps_stop": io.NUMBER,
     "initial_image": io.nullable(io.STRING),
     "out": io.STRING,
 }
@@ -41,17 +40,16 @@ _RUN_FIELDS = {
 
 # Run config fields passed on to SolverConfig under the same names; a field
 # left out takes SolverConfig's default.
-_SOLVER_FIELDS = ("method", "tau", "max_cycles", "eps_stop")
+_SOLVER_FIELDS = ("method", "tau", "max_cycles")
 
 
 def _load_run_config(path) -> dict:
-    """The checked run config, with ``tau`` and ``eps_stop`` as floats."""
+    """The checked run config, with ``tau`` as a float."""
     payload = io.check_fields(path, io.read_json(path), _RUN_FIELDS, "run config")
     if "instance" not in payload:
         raise FileFormatError(path, "run config must name an 'instance' directory")
-    for name in ("tau", "eps_stop"):
-        if name in payload:
-            payload[name] = float(payload[name])
+    if "tau" in payload:
+        payload["tau"] = float(payload["tau"])
     return payload
 
 
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", required=True, help="instance spec JSON file")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func="cmd_generate")
 
     r = sub.add_parser("reconstruct", help="run a solver on a generated instance")
     r.add_argument("--config", required=True, help="run config JSON file")
@@ -265,21 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--joint", action="store_true", default=None, help="joint image+coefficients run")
     r.add_argument("--tau", type=float, default=None)
     r.add_argument("--max-cycles", type=int, default=None)
-    r.set_defaults(func=cmd_reconstruct)
+    r.set_defaults(func="cmd_reconstruct")
 
     c = sub.add_parser("probe-cone", help="sample tangential-cone ratios")
     c.add_argument("--config", default=None, help="probe config JSON file")
     c.add_argument("--out", default=".", help="output directory")
     c.add_argument("--seed", type=int, default=None)
-    c.set_defaults(func=cmd_probe_cone)
+    c.set_defaults(func="cmd_probe_cone")
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # By name, so that a cmd_* function rebound after import is the one called.
+        return globals()[args.func](args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

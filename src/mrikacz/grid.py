@@ -323,6 +323,8 @@ class JointParameter(_Vector):
     coefficients: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.image, ComplexImage):
+            raise DimensionMismatch(f"image must be a ComplexImage, got {type(self.image).__name__}")
         coeff = np.asarray(self.coefficients, dtype=np.complex128)
         if coeff.ndim != 2:
             raise DimensionMismatch(f"coefficients must be 2-D, got ndim={coeff.ndim}")

@@ -18,8 +18,8 @@ Every CSV file is a table in one text format, the same for writing and
 reading:
 
 - the first line is the header, exactly as written (``index,re,im``,
-  ``index``, ``receiver,n,re,im``, ``t,index,re,im`` for format-1 receiver
-  data, or ``k,receiver,omega,alpha,residual[,error_to_truth]``);
+  ``index``, ``receiver,n,re,im`` or
+  ``k,receiver,omega,alpha,residual[,error_to_truth]``);
 - then one row per value, every line ended by ``\\n`` (a missing final
   ``\\n`` is accepted), with no blank lines;
 - fields are separated by ``,`` with no quoting;
@@ -131,7 +131,6 @@ _INT, _FLOAT = np.int64, np.float64
 # Column names and types of each CSV table.
 _COMPLEX = (("index", _INT), ("re", _FLOAT), ("im", _FLOAT))
 _MASK = (("index", _INT),)
-_MEASUREMENTS = (("t", _INT), ("index", _INT), ("re", _FLOAT), ("im", _FLOAT))
 _COEFFICIENTS = (("receiver", _INT), ("n", _INT), ("re", _FLOAT), ("im", _FLOAT))
 _TRACE = (
     ("k", _INT),
@@ -302,32 +301,6 @@ def read_mask_csv(path, shape: GridShape) -> KSpaceMask:
         raise FileFormatError(path, str(exc)) from None
 
 
-def write_measurements_csv(path, vector: MeasurementVector):
-    """Receiver data as a ``t,index,re,im`` table: the format-1 layout.
-
-    ``write_instance`` no longer calls it; :func:`load_instance` still reads
-    such tables from format-1 directories.
-    """
-    values = vector.values
-    _write_table(
-        path,
-        _MEASUREMENTS,
-        (np.arange(values.size), vector.mask.indices, values.real, values.imag),
-    )
-
-
-def read_measurements_csv(path, mask: KSpaceMask) -> MeasurementVector:
-    t, index, re, im = _read_table(path, _MEASUREMENTS)
-    if t.size != mask.p_proj:
-        raise FileFormatError(path, f"expected {mask.p_proj} rows, got {t.size}")
-    _first_bad_row(
-        path,
-        (t != np.arange(t.size)) | (index != mask.indices),
-        lambda pos: f"row disagrees with mask: t={t[pos]}, index={index[pos]}",
-    )
-    return MeasurementVector(mask, _complex(re, im))
-
-
 # Row type of a measurements_<i>.npy table: one row per measured point.
 _MEASUREMENTS_DTYPE = np.dtype([("index", "<i8"), ("value", "<c16")])
 
@@ -368,13 +341,6 @@ def read_measurements_npy(path, mask: KSpaceMask) -> MeasurementVector:
         pos = int(bad[0])
         raise FileFormatError(path, f"row {pos} disagrees with mask: index={index[pos]}")
     return MeasurementVector(mask, table["value"])
-
-
-# File name and reader of receiver i's noisy data, by metadata.format_version.
-_MEASUREMENT_FILES = {
-    1: ("measurements_{}.csv", read_measurements_csv),
-    2: ("measurements_{}.npy", read_measurements_npy),
-}
 
 
 def write_coefficients_csv(path, coefficients: np.ndarray):
@@ -482,11 +448,10 @@ def load_instance(instance_dir) -> Instance:
     Reads every file ``write_instance`` writes: ``instance.json`` (the spec,
     ``metadata.format_version`` and ``metadata.deltas_absolute``),
     ``ground_truth.csv``, ``mask.csv``, ``coefficients.csv`` and each
-    receiver's noisy data.  Format 2 holds those as ``measurements_<i>.npy``
-    (:func:`read_measurements_npy`); format 1, written by older versions, as
-    ``measurements_<i>.csv`` (:func:`read_measurements_csv`), and both load
-    the same values bit for bit.  Any other format version is a fault of
-    ``instance.json``.  The basis is built from the spec
+    receiver's noisy data, ``measurements_<i>.npy``
+    (:func:`read_measurements_npy`).  Any format version but
+    :data:`FORMAT_VERSION`, format 1's CSV receiver data included, is a
+    fault of ``instance.json``.  The basis is built from the spec
     (:func:`mrikacz.phantoms.make_basis`); a spec it cannot be built from is
     a fault of ``instance.json``.  The exact data are derived from the
     loaded operators and ground truth on first use
@@ -507,12 +472,13 @@ def load_instance(instance_dir) -> Instance:
     if not isinstance(meta, dict):
         raise FileFormatError(meta_path, "metadata must be a JSON object")
     version = meta.get("format_version")
-    # A bool equals 0 or 1, so the type is tested before the lookup.
-    if type(version) is not int or version not in _MEASUREMENT_FILES:
+    # The type is tested too: 2.0 == 2, and a bool is an int.
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FileFormatError(
-            meta_path, f"metadata.format_version must be one of {list(_MEASUREMENT_FILES)}, got {version!r}"
+            meta_path,
+            f"metadata.format_version must be {FORMAT_VERSION}, got {version!r}; "
+            "rebuild a format-1 directory with 'generate' from its 'spec' section",
         )
-    measurements_name, read_measurements = _MEASUREMENT_FILES[version]
     deltas = meta.get("deltas_absolute")
     if not isinstance(deltas, list) or not all(map(_is_number, deltas)):
         raise FileFormatError(meta_path, "metadata.deltas_absolute must be a list of numbers")
@@ -531,7 +497,7 @@ def load_instance(instance_dir) -> Instance:
     operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
 
     vectors = tuple(
-        read_measurements(d / measurements_name.format(i), mask) for i in range(spec.r_num)
+        read_measurements_npy(d / f"measurements_{i}.npy", mask) for i in range(spec.r_num)
     )
     try:
         noisy = MeasurementSet(vectors, deltas)

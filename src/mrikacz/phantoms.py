@@ -124,6 +124,26 @@ def make_basis(family: str, b_num: int, shape: GridShape) -> tuple[ComplexImage,
     raise ConfigurationError(f"unknown basis family {family!r}")
 
 
+def _mask_size(family: str, shape: GridShape, p_proj: int | None, fraction: float | None) -> int:
+    """The number of points :func:`make_mask` measures; ConfigurationError if none fits."""
+    if family not in MASK_FAMILIES:
+        raise ConfigurationError(f"unknown mask family {family!r}")
+    if family == "full":
+        return shape.p_num
+    if p_proj is None and fraction is None:
+        raise ConfigurationError(f"mask family {family!r} needs p_proj or fraction")
+    if family == "rows":
+        n_rows = math.ceil(fraction * shape.p_ver) if p_proj is None else -(-p_proj // shape.p_hor)
+        if n_rows < 1:
+            raise ConfigurationError("row mask must keep at least one row")
+        return min(n_rows, shape.p_ver) * shape.p_hor
+    if p_proj is None:
+        p_proj = int(round(fraction * shape.p_num))
+    if not (1 <= p_proj <= shape.p_num):
+        raise ConfigurationError(f"p_proj must be in [1, {shape.p_num}], got {p_proj}")
+    return p_proj
+
+
 def make_mask(
     family: str,
     shape: GridShape,
@@ -131,38 +151,20 @@ def make_mask(
     fraction: float | None = None,
     seed=0,
 ) -> KSpaceMask:
-    """Measured k-space subset.
+    """Measured k-space subset; :class:`InstanceSpec` checks its size by the same rule.
 
     ``full`` takes everything; ``rows`` keeps leading whole grid rows of
     flat indices (a cartoon of phase-encode subsampling); ``random`` draws
     uniformly without replacement.  The latter two need ``p_proj`` or
-    ``fraction``, and ``p_proj`` wins when both are set: ``rows`` rounds it
-    up to whole rows, ceil(p_proj / p_hor), else keeps ceil(fraction *
-    p_ver) rows; ``random`` draws p_proj points, else round(fraction * p_num).
+    ``fraction``, and ``p_proj`` wins when both are set: ``rows`` keeps
+    ceil(p_proj / p_hor) rows, else ceil(fraction * p_ver), at least one and
+    at most p_ver; ``random`` draws p_proj points, else round(fraction * p_num), 1 to p_num.
     """
-    p_num = shape.p_num
-    if family == "full":
-        return KSpaceMask(shape, np.arange(p_num))
-    if p_proj is None and fraction is None:
-        raise ConfigurationError(f"mask family {family!r} needs p_proj or fraction")
-    if family == "rows":
-        if p_proj is not None:
-            n_rows = -(-p_proj // shape.p_hor)
-        else:
-            n_rows = math.ceil(fraction * shape.p_ver)
-        n_rows = min(n_rows, shape.p_ver)
-        if n_rows < 1:
-            raise ConfigurationError("row mask must keep at least one row")
-        return KSpaceMask(shape, np.arange(n_rows * shape.p_hor))
-    if family == "random":
-        if p_proj is None:
-            p_proj = int(round(fraction * p_num))
-        if not (1 <= p_proj <= p_num):
-            raise ConfigurationError(f"p_proj must be in [1, {p_num}], got {p_proj}")
-        rng = np.random.default_rng(seed)
-        indices = np.sort(rng.choice(p_num, size=p_proj, replace=False))
-        return KSpaceMask(shape, indices)
-    raise ConfigurationError(f"unknown mask family {family!r}")
+    size = _mask_size(family, shape, p_proj, fraction)
+    if family != "random":
+        return KSpaceMask(shape, np.arange(size))
+    rng = np.random.default_rng(seed)
+    return KSpaceMask(shape, np.sort(rng.choice(shape.p_num, size=size, replace=False)))
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,10 @@ class InstanceSpec:
         for name, families in (
             ("phantom_family", PHANTOM_FAMILIES),
             ("basis_family", BASIS_FAMILIES),
-            ("mask_family", MASK_FAMILIES),
         ):
             if getattr(self, name) not in families:
                 raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}")
+        _mask_size(self.mask_family, self.grid, self.p_proj, self.mask_fraction)
         if self.delta_mode not in (DELTA_ABSOLUTE, DELTA_RELATIVE):
             raise ConfigurationError(f"unknown delta_mode {self.delta_mode!r}")
         deltas = self.deltas

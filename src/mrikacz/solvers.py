@@ -64,11 +64,8 @@ def sdk_step_size(apply, s, s_norm: float) -> float:
 class SolverConfig:
     """Iteration parameters shared by the linear and joint runs.
 
-    ``eps_stop`` = 0 detects the stopping cycle through the loping weights
-    (every step skipped); a positive value instead compares successive
-    iterates and stops once every update in a cycle moved the iterate by at
-    most ``eps_stop``.  ``exact_data_rtol`` is the extra halt used when all
-    noise levels are zero and loping can never trigger.
+    ``exact_data_rtol`` is the extra halt used when all noise levels are
+    zero and loping can never trigger.
     """
 
     method: str = METHOD_LSDK
@@ -76,13 +73,12 @@ class SolverConfig:
     max_cycles: int = 10000
     initial_image: ComplexImage | None = None
     initial_coefficients: np.ndarray | None = None
-    eps_stop: float = 0.0
     exact_data_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        for name in ("tau", "eps_stop", "exact_data_rtol"):
+        for name in ("tau", "exact_data_rtol"):
             value = getattr(self, name)
             try:
                 finite = math.isfinite(value)
@@ -94,8 +90,6 @@ class SolverConfig:
             raise ConfigurationError(f"tau must be > 2, got {self.tau}")
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
-        if self.eps_stop < 0:
-            raise ConfigurationError("eps_stop must be >= 0")
         if self.exact_data_rtol < 0:
             raise ConfigurationError("exact_data_rtol must be >= 0")
 
@@ -197,7 +191,6 @@ def _iterate(x, problem, config, reference, metadata):
     reason = CYCLE_CAP
     for cycle in range(config.max_cycles):
         cycle_max_residual = 0.0
-        cycle_max_update = 0.0
         cycle_any_active = False
         for i in range(r_num):
             op = ops[i]
@@ -227,7 +220,6 @@ def _iterate(x, problem, config, reference, metadata):
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
                         ) from None
                 x = x - alpha * s
-                cycle_max_update = max(cycle_max_update, alpha * s_norm)
             rec.add(omega, alpha, rnorm, error)
             if omega and not grid.all_finite(x):
                 raise NumericalFailure(
@@ -236,11 +228,7 @@ def _iterate(x, problem, config, reference, metadata):
                 )
             cycle_max_residual = max(cycle_max_residual, rnorm)
             k += 1
-        if config.eps_stop == 0.0:
-            stopped = not cycle_any_active
-        else:
-            stopped = cycle_max_update <= config.eps_stop
-        if stopped:
+        if not cycle_any_active:
             k_star = cycle * r_num
             reason = STOPPING_RULE
             break

@@ -230,3 +230,7 @@ class TestJointParameter:
         x = mk.JointParameter(image([1, 0]), [[1j]])
         y = mk.JointParameter(image([1, 1]), [[1j]])
         assert mk.inner_product(x, y) == pytest.approx(1 + 1)
+
+    def test_image_block_must_be_an_image(self):
+        with pytest.raises(DimensionMismatch, match="image must be a ComplexImage, got ndarray"):
+            mk.JointParameter(np.zeros(4), np.zeros((1, 1)))

@@ -27,6 +27,11 @@ SPEC_8 = {
 }
 
 
+def spec_fault(**overrides):
+    """A case of spec fields to override, with an id such as ``p_ver--2``."""
+    return pytest.param(overrides, id="-".join(f"{k}-{v}" for k, v in overrides.items()))
+
+
 def write_spec(path, **overrides):
     payload = dict(SPEC_8, **overrides)
     with open(path, "w") as fh:
@@ -81,33 +86,15 @@ def repeat_last(lines):
     return lines + lines[-1:]
 
 
-def to_format_1(directory):
-    """Rewrite an instance directory in format 1, with ``measurements_<i>.csv`` tables.
-
-    Returns the instance loaded before the rewrite.
-    """
-    instance = io.load_instance(directory)
-    for i, vector in enumerate(instance.measurements.vectors):
-        io.write_measurements_csv(directory / f"measurements_{i}.csv", vector)
-        (directory / f"measurements_{i}.npy").unlink()
-    path = directory / "instance.json"
-    payload = json.loads(path.read_text())
-    payload["metadata"]["format_version"] = 1
-    io.write_json(path, payload)
-    return instance
-
-
-# Columns of the four CSV readers' files in an 8x8, r_num=2, b_num=2 instance
-# (64 image rows, 4 coefficient rows, 32 mask and measurement rows); the
-# measurement table is that of the instance rewritten in format 1.
-GT, MASK, COEF, MEAS = "ground_truth.csv", "mask.csv", "coefficients.csv", "measurements_0.csv"
+# Columns of the three CSV readers' files in an 8x8, r_num=2, b_num=2 instance
+# (64 image rows, 4 coefficient rows, 32 mask rows).
+GT, MASK, COEF = "ground_truth.csv", "mask.csv", "coefficients.csv"
 CSV_COLUMNS = {
     GT: ("index", "re", "im"),
     MASK: ("index",),
     COEF: ("receiver", "n", "re", "im"),
-    MEAS: ("t", "index", "re", "im"),
 }
-INT_COLUMNS = {"index", "t", "receiver", "n"}
+INT_COLUMNS = {"index", "receiver", "n"}
 TOO_BIG = "99999999999999999999"
 
 
@@ -123,7 +110,6 @@ CORRUPTIONS = [
     corruption(GT, replace_line(4, "2,0.5"), 4, "expected 3 fields, got 2", "short-row"),
     corruption(MASK, replace_line(4, "5,6"), 4, "expected 1 fields, got 2", "long-row"),
     corruption(COEF, replace_line(4, "1,0,0.5"), 4, "expected 4 fields, got 3", "short-row"),
-    corruption(MEAS, replace_line(4, "2,5,0.5"), 4, "expected 4 fields, got 3", "short-row"),
     *(
         corruption(f, set_field(4, c, "x"), 4, f"bad {col} value 'x'", f"{col}-value")
         for f, cols in CSV_COLUMNS.items()
@@ -139,11 +125,8 @@ CORRUPTIONS = [
     corruption(GT, set_field(4, 0, "7"), 4, "expected index 2, got 7", "index-order"),
     corruption(COEF, set_field(4, 0, "0"), 4, "rows out of order at (0, 0)", "receiver-order"),
     corruption(COEF, set_field(4, 1, "1"), 4, "rows out of order at (1, 1)", "n-order"),
-    corruption(MEAS, set_field(4, 0, "5"), 4, "disagrees with mask: t=5", "t-mask"),
-    corruption(MEAS, set_field(4, 1, "-1"), 4, "disagrees with mask: t=2, index=-1", "index-mask"),
     corruption(GT, drop_last, None, "ground truth length does not match grid", "row-count"),
     corruption(COEF, drop_last, None, "expected 4 rows, got 3", "row-count"),
-    corruption(MEAS, repeat_last, None, "expected 32 rows, got 33", "row-count"),
     corruption(MASK, replace_line(2, "-1"), None, "strictly increasing", "range"),
 ]
 
@@ -198,8 +181,6 @@ class TestInstanceRoundTrip:
     def test_corrupt_csv_reports_line(self, tmp_path, name, edit, line, fragment):
         inst = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, r_num=2, b_num=2, seed=1))
         io.write_instance(inst, tmp_path)
-        if name == MEAS:
-            to_format_1(tmp_path)
         target = tmp_path / name
         edit_file(target, edit)
         with pytest.raises(FileFormatError) as err:
@@ -318,27 +299,35 @@ class TestGenerateCommand:
             {"mask_fraction": None, "p_proj": 20},
             {"mask_fraction": 1, "deltas": 0},
             {"deltas": [0.05, 0, 0.1, 0.2]},
+            {"mask_family": "full", "mask_fraction": 0},
+            {"mask_family": "rows", "mask_fraction": 2.0},
         ],
-        ids=["p_proj", "integer-numbers", "deltas-list"],
+        ids=["p_proj", "integer-numbers", "deltas-list", "full-mask-fraction-0", "rows-mask-fraction-2"],
     )
     def test_well_typed_spec_fields_are_accepted(self, tmp_path, overrides):
         path = write_spec(tmp_path / "spec.json", **overrides)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize(
-        "field, value",
+        "overrides",
         [
-            ("p_hor", 0),
-            ("p_ver", -2),
-            ("b_num", 0),
-            ("seed", -1),
-            ("phantom_family", "nope"),
-            ("basis_family", "nope"),
-            ("mask_family", "nope"),
+            spec_fault(p_hor=0),
+            spec_fault(p_ver=-2),
+            spec_fault(b_num=0),
+            spec_fault(seed=-1),
+            spec_fault(phantom_family="nope"),
+            spec_fault(basis_family="nope"),
+            spec_fault(mask_family="nope"),
+            # The mask size rule: a random mask measures 1 to p_num points,
+            # a rows mask keeps at least one row.
+            *(spec_fault(mask_fraction=f) for f in (-0.5, 0, 2.0)),
+            *(spec_fault(p_proj=n) for n in (0, 100)),
+            spec_fault(mask_family="rows", mask_fraction=0),
+            spec_fault(mask_family="rows", p_proj=-3),
         ],
     )
-    def test_bad_spec_value_is_io_error(self, tmp_path, capsys, field, value):
-        path = write_spec(tmp_path / "spec.json", **{field: value})
+    def test_bad_spec_value_is_io_error(self, tmp_path, capsys, overrides):
+        path = write_spec(tmp_path / "spec.json", **overrides)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
         assert f"{path}: invalid spec: " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -400,9 +389,11 @@ BAD_INSTANCE_FILES = [
     pytest.param(with_spec(b_num=0), id="spec-b_num-zero"),
     pytest.param(with_spec(seed=-1), id="spec-seed-negative"),
     pytest.param(with_spec(b_num=65), id="basis-b_num-too-large"),
+    pytest.param(with_spec(mask_fraction=0), id="spec-mask_fraction-zero"),
+    pytest.param(with_spec(mask_family="rows", p_proj=-3), id="spec-rows-p_proj-negative"),
     *(
         pytest.param(with_metadata("format_version", version), id=f"format-version-{label}")
-        for label, version in [("missing", None), ("3", 3), ("string", "2"), ("bool", True)]
+        for label, version in [("missing", None), ("1", 1), ("3", 3), ("string", "2"), ("bool", True)]
     ),
     *(
         pytest.param(with_metadata("deltas_absolute", deltas), id=f"deltas-{label}")
@@ -513,22 +504,6 @@ class TestMeasurementsNpy:
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run)]) == 4
         assert f"{path}: " in capsys.readouterr().err
-
-    def test_format_1_directory_loads_and_reconstructs_identically(self, tmp_path, generated):
-        run1 = write_run_config(tmp_path / "run1.json", generated, tmp_path / "rec1")
-        run2 = write_run_config(tmp_path / "run2.json", generated, tmp_path / "rec2")
-        assert main(["reconstruct", "--config", str(run1)]) == 0
-        current = to_format_1(generated)
-        assert not list(generated.glob("*.npy"))
-        loaded = io.load_instance(generated)
-        for a, b in zip(loaded.measurements.vectors, current.measurements.vectors):
-            np.testing.assert_array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
-        assert main(["reconstruct", "--config", str(run2)]) == 0
-        outputs = sorted(p.name for p in (tmp_path / "rec1").iterdir())
-        assert "result_magnitude.pgm" in outputs
-        assert outputs == sorted(p.name for p in (tmp_path / "rec2").iterdir())
-        for name in outputs:
-            assert read_bytes(tmp_path / "rec1" / name) == read_bytes(tmp_path / "rec2" / name)
 
 
 class TestReconstructCommand:
@@ -687,7 +662,9 @@ class TestReconstructCommand:
         assert f"{image}: initial image length does not match grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("record_error", False), ("formats", {"pgm": False})], ids=["record_error", "formats"]
+        "field, value",
+        [("record_error", False), ("formats", {"pgm": False}), ("eps_stop", 1e-6)],
+        ids=["record_error", "formats", "eps_stop"],
     )
     def test_unknown_run_config_field_is_io_error(self, tmp_path, generated, capsys, field, value):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", **{field: value})
@@ -706,12 +683,11 @@ class TestReconstructCommand:
             ("max_cycles", True),
             ("joint", "no"),
             ("joint", 0),
-            ("eps_stop", None),
+            ("instance", None),
             ("initial_image", 5),
             ("out", ["rec"]),
             ("tau", float("inf")),
             pytest.param("tau", 10**400, id="tau-400-digit-int"),
-            ("eps_stop", float("inf")),
         ],
     )
     def test_wrong_run_config_field_type_is_io_error(self, tmp_path, generated, capsys, field, value):

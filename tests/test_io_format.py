@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mrikacz import io
 from mrikacz.errors import FileFormatError
-from mrikacz.grid import GridShape, KSpaceMask, MeasurementVector
+from mrikacz.grid import GridShape, KSpaceMask
 from mrikacz.solvers import IterationTrace
 
 
@@ -72,7 +72,7 @@ floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL))
 
 
 class Case:
-    """Every table built from one complex array: image, mask, measurements, coefficients, trace."""
+    """Every table built from one complex array: image, mask, coefficients, trace."""
 
     def __init__(self, values, indices, b_num, with_errors):
         n = values.size
@@ -101,13 +101,6 @@ def check_writers(path, case):
     io.write_mask_csv(path, mask)
     assert path.read_bytes() == reference_csv(["index"], ([int(i)] for i in mask.indices))
     np.testing.assert_array_equal(io.read_mask_csv(path, mask.shape).indices, mask.indices)
-
-    io.write_measurements_csv(path, MeasurementVector(mask, v))
-    assert path.read_bytes() == reference_csv(
-        ["t", "index", "re", "im"],
-        ([t, int(i), fmt(x.real), fmt(x.imag)] for t, (i, x) in enumerate(zip(mask.indices, v))),
-    )
-    measurements_back = io.read_measurements_csv(path, mask).values
 
     io.write_coefficients_csv(path, coeff)
     assert path.read_bytes() == reference_csv(
@@ -138,7 +131,7 @@ def check_writers(path, case):
         rows.append(row)
     assert path.read_bytes() == reference_csv(header, rows)
 
-    return complex_back, measurements_back, coefficients_back
+    return complex_back, coefficients_back
 
 
 @settings(max_examples=80, deadline=None)
@@ -152,7 +145,7 @@ def test_writers_match_reference_and_round_trip_bits(tmp_path_factory, data, n):
     b_num = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     case = Case(values, np.array(indices), b_num, data.draw(st.booleans()))
     path = tmp_path_factory.mktemp("oracle") / "table.csv"
-    for back, written in zip(check_writers(path, case), (values, values, case.coefficients)):
+    for back, written in zip(check_writers(path, case), (values, case.coefficients)):
         np.testing.assert_array_equal(bits(back), bits(written))
 
 
@@ -162,7 +155,7 @@ def test_writers_match_reference_across_write_blocks(tmp_path):
     rng = np.random.default_rng(14)
     values = complex_array(np.resize(SPECIAL, n), rng.standard_normal(n))
     case = Case(values, np.arange(n) * 3 + 1, 1, True)
-    for back, written in zip(check_writers(tmp_path / "table.csv", case), (values, values, case.coefficients)):
+    for back, written in zip(check_writers(tmp_path / "table.csv", case), (values, case.coefficients)):
         np.testing.assert_array_equal(bits(back), bits(written))
 
 
@@ -192,11 +185,10 @@ def test_nan_is_written_as_repr_and_reads_back_as_nan(tmp_path, nan_bits):
             np.testing.assert_array_equal(bits(part[kept]), bits(written[kept]))
 
 
-# The four tables the readers parse, by the name of the file kind that holds them.
+# The three tables the readers parse, by the name of the file kind that holds them.
 TABLES = {
     "complex": io._COMPLEX,
     "mask": io._MASK,
-    "measurements": io._MEASUREMENTS,
     "coefficients": io._COEFFICIENTS,
 }
 
@@ -234,7 +226,7 @@ ODD_LINES = ["", "\r", " ", "\t ", "\x1f"]
 
 @st.composite
 def mutated_tables(draw):
-    """A valid table of one of the four kinds, then a few edits that may break it."""
+    """A valid table of one of the three kinds, then a few edits that may break it."""
     table = TABLES[draw(st.sampled_from(sorted(TABLES)))]
     n = draw(st.integers(0, 6))
     field = {
@@ -318,7 +310,7 @@ def test_bodies_loadtxt_misreads_go_the_per_row_way(tmp_path, body, error):
 def test_written_tables_take_the_loadtxt_path(tmp_path, loadtxt_only, values):
     case = Case(values, np.arange(values.size) * 2, 1, True)
     path = tmp_path / "table.csv"
-    for back, written in zip(check_writers(path, case), (values, values, case.coefficients)):
+    for back, written in zip(check_writers(path, case), (values, case.coefficients)):
         np.testing.assert_array_equal(back, written)
     # check_writers wrote the trace last.
     columns = io._read_table(path, io._TRACE + (io._TRACE_ERROR,))

@@ -1,0 +1,43 @@
+"""The README's field lists name exactly the fields the code defines."""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import mrikacz as mk
+from mrikacz import cli, io
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def listed(pattern):
+    """The backquoted names in the README text that ``pattern``'s first group matches."""
+    match = re.search(pattern, README, re.S)
+    assert match, pattern
+    return set(re.findall(r"`(\w+)`", match.group(1)))
+
+
+def json_fields(*kinds):
+    """Names of the spec, run and probe config fields of one of ``kinds``, null allowed or not."""
+    whats = {what for what, _ in kinds}
+    tables = (io._SPEC_FIELDS, cli._RUN_FIELDS, cli._PROBE_FIELDS)
+    return {
+        name
+        for table in tables
+        for name, (what, _) in table.items()
+        if what.removesuffix(" or null") in whats
+    }
+
+
+def test_solver_config_fields_match_the_module_table():
+    assert listed(r"`SolverConfig` \(([^)]*)\)") == {
+        f.name for f in dataclasses.fields(mk.SolverConfig)
+    }
+
+
+def test_json_integers_match_the_field_kinds():
+    assert listed(r"Integers: (.*?)\.") == json_fields(io.INTEGER)
+
+
+def test_json_numbers_match_the_field_kinds():
+    assert listed(r"Numbers:(.*?)\.") == json_fields(io.NUMBER, io.NUMBERS)
