@@ -34,7 +34,7 @@ mask = mk.make_mask("random", shape, fraction=0.5, seed=3)
 print("mask keeps", mask.p_proj, "of", shape.p_num, "positions:", mask.indices)
 
 # One receiver's forward operator and its adjoint satisfy the dot test.
-op = mk.LinearForward(model, mask, plan, receiver=0)
+op = mk.LinearForward(model, mask, receiver=0)
 x = mk.ComplexImage(shape, rng.standard_normal(16) + 1j * rng.standard_normal(16))
 y = mk.MeasurementVector(mask, rng.standard_normal(8) + 1j * rng.standard_normal(8))
 gap = abs(mk.inner_product(op.apply(x), y) - mk.inner_product(x, op.adjoint(y)))
@@ -42,7 +42,7 @@ print("adjoint dot-product gap:", gap)
 
 # Data for a phantom, noiseless and with exactly calibrated noise.
 phantom = mk.make_phantom("blobs", shape, seed=5)
-exact = mk.exact_data([mk.LinearForward(model, mask, plan, j) for j in range(4)], phantom)
+exact = mk.exact_data([mk.LinearForward(model, mask, j) for j in range(4)], phantom)
 noisy = mk.calibrated_noise(exact, [0.25] * 4, seed=7)
 for j in range(4):
     print(f"receiver {j}: ||noisy - exact|| = {mk.norm(noisy.vectors[j] - exact.vectors[j]):.12f}")

@@ -14,11 +14,11 @@ import mrikacz as mk
 shape = mk.GridShape(2, 2)
 model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), np.ones((2, 1)))
 mask = mk.KSpaceMask(shape, np.arange(4))
-ops = tuple(mk.JointForward(model, mask, mk.DftPlan(4), i) for i in range(2))
+ops = tuple(mk.JointForward(model, mask, i) for i in range(2))
 truth = mk.JointParameter(mk.ComplexImage.constant(shape, 1.0), [[1.0], [2.0]])
 data = mk.MeasurementSet(tuple(op.apply(truth) for op in ops), np.zeros(2))
 config = mk.SolverConfig(
-    method="lsdk", max_cycles=50, exact_data_rtol=0.0,
+    method="lsdk", max_cycles=50,
     initial_image=truth.image, initial_coefficients=[[0.5], [0.5]],
 )
 result = mk.run_joint(mk.Problem(ops, data), config)

@@ -60,7 +60,6 @@ from .grid import (
 from .operators import LinearForward
 from .phantoms import GroundTruth, Instance, InstanceSpec, make_basis
 from .solvers import IterationTrace
-from .transform import DftPlan
 
 FORMAT_VERSION = 2
 
@@ -493,8 +492,7 @@ def load_instance(instance_dir) -> Instance:
     coeff = read_coefficients_csv(d / "coefficients.csv", spec.r_num, spec.b_num)
     model = SensitivityModel(basis, coeff)
     del basis  # the model holds its own copy, and the basis images are views of it
-    plan = DftPlan(shape.p_num)
-    operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
+    operators = tuple(LinearForward(model, mask, i) for i in range(spec.r_num))
 
     vectors = tuple(
         read_measurements_npy(d / f"measurements_{i}.npy", mask) for i in range(spec.r_num)

@@ -24,7 +24,7 @@ point; the Kaczmarz loop passes the result to ``apply``, ``derivative`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,26 +66,26 @@ def _back(plan: DftPlan, mask: KSpaceMask, data: MeasurementVector) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class _ReceiverOperator:
-    """Receiver ``receiver`` of a sensitivity model, seen through a mask and a plan.
+    """Receiver ``receiver`` of a sensitivity model, seen through a mask.
 
     ``LinearForward`` holds the model's coefficients fixed; ``JointForward``
     takes them as part of its argument and reads ``model.coefficients`` only
-    for the shape of the coefficient block.
+    for the shape of the coefficient block.  ``plan`` transforms the model's
+    grid; each operator builds its own.
     """
 
     model: SensitivityModel
     mask: KSpaceMask
-    plan: DftPlan
     receiver: int
     scale: float = 1.0
+    plan: DftPlan = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 <= self.receiver < self.model.r_num):
             raise IndexError(f"receiver {self.receiver} out of range")
         if self.mask.shape != self.model.grid:
             raise DimensionMismatch("mask and sensitivity basis live on different grids")
-        if self.plan.p_num != self.model.grid.p_num:
-            raise DimensionMismatch("transform plan length does not match the grid")
+        object.__setattr__(self, "plan", DftPlan(self.model.grid.p_num))
 
     def with_scale(self, scale: float):
         return replace(self, scale=float(scale))
@@ -220,8 +220,8 @@ class JointForward(_ReceiverOperator):
 
 
 def joint_from_linear(op: LinearForward) -> JointForward:
-    """Joint-space view of a linear operator (same model, mask, plan and scale)."""
-    return JointForward(op.model, op.mask, op.plan, op.receiver, op.scale)
+    """Joint-space view of a linear operator (same model, mask, receiver and scale)."""
+    return JointForward(op.model, op.mask, op.receiver, op.scale)
 
 
 def estimate_norm(

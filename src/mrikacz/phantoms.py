@@ -25,7 +25,6 @@ from .grid import (
     SensitivityModel,
 )
 from .operators import LinearForward, Problem, joint_from_linear
-from .transform import DftPlan
 
 PHANTOM_FAMILIES = ("constant", "checker", "blobs")
 BASIS_FAMILIES = ("constant", "harmonics", "bumps")
@@ -250,10 +249,6 @@ class Instance:
     operators: tuple[LinearForward, ...]
     measurements: MeasurementSet
 
-    @property
-    def plan(self):
-        return self.operators[0].plan
-
     def linear_problem(self) -> Problem:
         return Problem(self.operators, self.measurements)
 
@@ -302,7 +297,6 @@ def synthesize(spec: InstanceSpec) -> Instance:
     shape = spec.grid
     image = make_phantom(spec.phantom_family, shape, seed_phantom)
     mask = make_mask(spec.mask_family, shape, p_proj=spec.p_proj, fraction=spec.mask_fraction, seed=seed_mask)
-    plan = DftPlan(shape.p_num)
 
     rng = np.random.default_rng(seed_coeff)
     coeff = rng.standard_normal((spec.r_num, spec.b_num)) + 1j * rng.standard_normal(
@@ -313,7 +307,7 @@ def synthesize(spec: InstanceSpec) -> Instance:
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
     model = SensitivityModel(make_basis(spec.basis_family, spec.b_num, shape), coeff)
 
-    operators = tuple(LinearForward(model, mask, plan, i) for i in range(spec.r_num))
+    operators = tuple(LinearForward(model, mask, i) for i in range(spec.r_num))
     truth = GroundTruth(image=image, operators=operators)
     exact = truth.exact
 

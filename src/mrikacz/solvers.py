@@ -14,7 +14,7 @@ a linear operator is its own derivative.  Each step linearizes its operator
 once at x_k and passes the result to the residual, direction and step size.
 The run stops at the first cycle whose steps all loped, at a cycle cap, or
 (for exact data, where loping never triggers) once the residual has dropped
-by a configured factor.
+by the fixed factor ``EXACT_DATA_RTOL``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ EXACT_DATA_TOLERANCE = "exact-data-tolerance"
 
 _CURVATURE_FLOOR = 1e-300
 
+# On exact data loping never triggers; a run stops once its cycle's largest
+# residual is at most this fraction of the initial one.
+EXACT_DATA_RTOL = 1e-10
+
 
 def loping_weight(residual_norm: float, tau: float, delta_i: float) -> int:
     """1 if the residual strictly exceeds tau * delta_i, else 0."""
@@ -62,36 +66,27 @@ def sdk_step_size(apply, s, s_norm: float) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration parameters shared by the linear and joint runs.
-
-    ``exact_data_rtol`` is the extra halt used when all noise levels are
-    zero and loping can never trigger.
-    """
+    """Iteration parameters shared by the linear and joint runs."""
 
     method: str = METHOD_LSDK
     tau: float = 2.1
     max_cycles: int = 10000
     initial_image: ComplexImage | None = None
     initial_coefficients: np.ndarray | None = None
-    exact_data_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
             raise ConfigurationError(f"unknown method {self.method!r}")
-        for name in ("tau", "exact_data_rtol"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        try:
+            finite = math.isfinite(self.tau)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigurationError(f"tau must be finite, got {self.tau}")
         if not self.tau > 2:
             raise ConfigurationError(f"tau must be > 2, got {self.tau}")
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
-        if self.exact_data_rtol < 0:
-            raise ConfigurationError("exact_data_rtol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +227,7 @@ def _iterate(x, problem, config, reference, metadata):
             k_star = cycle * r_num
             reason = STOPPING_RULE
             break
-        if all_exact and cycle_max_residual <= config.exact_data_rtol * initial_max_residual:
+        if all_exact and cycle_max_residual <= EXACT_DATA_RTOL * initial_max_residual:
             reason = EXACT_DATA_TOLERANCE
             break
     return SolveResult(final=x, trace=rec.build(k_star), reason=reason, metadata=metadata)

@@ -116,7 +116,7 @@ def tiny_unit_op():
     shape = mk.GridShape(2, 2)
     model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), [[1.0]])
     mask = mk.KSpaceMask(shape, np.arange(4))
-    return mk.LinearForward(model, mask, mk.DftPlan(4), 0)
+    return mk.LinearForward(model, mask, 0)
 
 
 @pytest.fixture()

@@ -14,7 +14,6 @@ from mrikacz.transform import embed
 from conftest import random_image, random_joint, random_measurement
 
 SHAPE = mk.GridShape(4, 2)
-PLAN = mk.DftPlan(SHAPE.p_num)
 MASK = mk.KSpaceMask(SHAPE, [0, 2, 3, 6])
 BASIS = (mk.ComplexImage.constant(SHAPE, 1.0), mk.ComplexImage(SHAPE, np.arange(SHAPE.p_num)))
 MODEL = mk.SensitivityModel(BASIS, [[1.0, 0.5j], [0.25, -1.0]])
@@ -68,8 +67,8 @@ def library_results():
     f, g = random_image(rng, SHAPE), random_image(rng, SHAPE)
     u, v = random_measurement(rng, MASK), random_measurement(rng, MASK)
     x, dx = random_joint(rng, SHAPE, 2, 2), random_joint(rng, SHAPE, 2, 2)
-    linear = mk.LinearForward(MODEL, MASK, PLAN, 1, scale=0.5)
-    joint = mk.JointForward(MODEL, MASK, PLAN, 1, scale=0.5)
+    linear = mk.LinearForward(MODEL, MASK, 1, scale=0.5)
+    joint = mk.JointForward(MODEL, MASK, 1, scale=0.5)
     cases = [
         ("image+", f + g, [f, g]),
         ("image-", f - g, [f, g]),

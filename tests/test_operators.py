@@ -18,7 +18,6 @@ from conftest import (
 )
 
 SHAPE2 = mk.GridShape(2, 2)
-PLAN4 = mk.DftPlan(4)
 FULL4 = mk.KSpaceMask(SHAPE2, np.arange(4))
 UNIT_MODEL = mk.SensitivityModel((mk.ComplexImage.constant(SHAPE2, 1.0),), [[1.0]])
 
@@ -26,11 +25,11 @@ UNIT_MODEL = mk.SensitivityModel((mk.ComplexImage.constant(SHAPE2, 1.0),), [[1.0
 def two_basis_op(coeff=(1.0, 1.0), scale=1.0):
     basis = (mk.ComplexImage.constant(SHAPE2, 1.0), mk.ComplexImage(SHAPE2, [1, 0, 0, 0]))
     model = mk.SensitivityModel(basis, [list(coeff)])
-    return mk.LinearForward(model, FULL4, PLAN4, 0, scale)
+    return mk.LinearForward(model, FULL4, 0, scale)
 
 
 def unit_joint_op():
-    return mk.JointForward(UNIT_MODEL, FULL4, PLAN4, 0)
+    return mk.JointForward(UNIT_MODEL, FULL4, 0)
 
 
 class TestApplyLinear:
@@ -99,12 +98,11 @@ class TestAdjointLinear:
         ({"receiver": 1}, IndexError, "out of range"),
         ({"receiver": -1}, IndexError, "out of range"),
         ({"mask": mk.KSpaceMask(mk.GridShape(4, 1), np.arange(4))}, DimensionMismatch, "grids"),
-        ({"plan": mk.DftPlan(8)}, DimensionMismatch, "plan length"),
     ],
-    ids=["receiver-past-r_num", "negative-receiver", "mask-on-another-grid", "plan-of-another-length"],
+    ids=["receiver-past-r_num", "negative-receiver", "mask-on-another-grid"],
 )
 def test_constructor_checks(family, change, error, message):
-    fields = {"model": UNIT_MODEL, "mask": FULL4, "plan": PLAN4, "receiver": 0, **change}
+    fields = {"model": UNIT_MODEL, "mask": FULL4, "receiver": 0, **change}
     with pytest.raises(error, match=message):
         family(**fields)
 

@@ -14,7 +14,7 @@ FULL4 = mk.KSpaceMask(SHAPE2, np.arange(4))
 def unit_problem(truth_values, deltas=(0.0,), noise_seed=None):
     """Single receiver, constant unit sensitivity, full 2x2 mask."""
     model = mk.SensitivityModel((mk.ComplexImage.constant(SHAPE2, 1.0),), [[1.0]])
-    op = mk.LinearForward(model, FULL4, PLAN4, 0)
+    op = mk.LinearForward(model, FULL4, 0)
     truth = mk.ComplexImage(SHAPE2, truth_values)
     exact = mk.MeasurementSet((op.apply(truth),), np.zeros(1))
     measurements = exact
@@ -53,7 +53,7 @@ class TestSdkStepSize:
     def test_orthonormal_operator_gives_unit_step(self):
         rng = np.random.default_rng(1)
         model = mk.SensitivityModel((mk.ComplexImage.constant(SHAPE2, 1.0),), [[1.0]])
-        isometry = mk.LinearForward(model, FULL4, PLAN4, 0, scale=0.5)
+        isometry = mk.LinearForward(model, FULL4, 0, scale=0.5)
         for _ in range(5):
             s = random_image(rng, SHAPE2)
             assert mk.sdk_step_size(isometry.apply, s, mk.norm(s)) == pytest.approx(1.0)
@@ -78,7 +78,7 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             mk.SolverConfig(max_cycles=0)
 
-    @pytest.mark.parametrize("name", ["tau", "exact_data_rtol"])
+    @pytest.mark.parametrize("name", ["tau"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
     def test_thresholds_must_be_finite(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
@@ -192,7 +192,7 @@ class TestRunLinear:
     def test_cycle_cap(self):
         problem, _ = unit_problem([1, 1j, -1, -1j])
         scaled, _ = mk.rescale_problem(problem)
-        result = mk.run_linear(scaled, mk.SolverConfig(max_cycles=1, exact_data_rtol=0.0))
+        result = mk.run_linear(scaled, mk.SolverConfig(max_cycles=1))
         assert result.reason == mk.CYCLE_CAP
         assert result.trace.k_star is None
         assert result.trace.n_cycles == 1
@@ -220,7 +220,7 @@ class TestRunLinear:
 def frozen_image_joint_problem():
     """2x2 grid, 2 receivers, single constant basis, known image."""
     model = mk.SensitivityModel((mk.ComplexImage.constant(SHAPE2, 1.0),), np.ones((2, 1)))
-    ops = tuple(mk.JointForward(model, FULL4, PLAN4, i) for i in range(2))
+    ops = tuple(mk.JointForward(model, FULL4, i) for i in range(2))
     truth = mk.JointParameter(mk.ComplexImage.constant(SHAPE2, 1.0), [[1.0], [2.0]])
     data = mk.MeasurementSet(tuple(op.apply(truth) for op in ops), np.zeros(2))
     return mk.Problem(ops, data), truth
@@ -245,7 +245,6 @@ class TestRunJoint:
         config = mk.SolverConfig(
             method="lsdk",
             max_cycles=50,
-            exact_data_rtol=0.0,
             initial_image=truth.image,
             initial_coefficients=[[0.5], [0.5]],
         )

@@ -150,7 +150,7 @@ class TestOperatorNorm:
         shape = mk.GridShape(p_num, 1)
         model = mk.SensitivityModel((mk.ComplexImage.constant(shape, 1.0),), [[1.0]])
         mask = mk.KSpaceMask(shape, np.arange(p_num))
-        op = mk.LinearForward(model, mask, mk.DftPlan(p_num), 0)
+        op = mk.LinearForward(model, mask, 0)
         assert mk.estimate_norm(op) == pytest.approx(np.sqrt(p_num), rel=1e-6)
 
 
