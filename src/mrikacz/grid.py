@@ -16,6 +16,7 @@ memory with none of the operands.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -365,15 +366,25 @@ def inner_product(a, b) -> complex:
     return complex(np.vdot(b.values, a.values))
 
 
-def norm(a) -> float:
-    """Euclidean norm sqrt(Re inner_product(a, a)).
+def array_norm(*arrays) -> float:
+    """Euclidean norm of all entries of ``arrays`` together, summed without BLAS.
 
-    A joint parameter's norm is sqrt(||image||^2 + ||coefficients||^2), the
-    two blocks' ``numpy.linalg.norm`` combined.
+    Every whole-array norm in the package is summed here: ``einsum`` over the
+    float64 view gives the same bits under any BLAS thread count, while
+    ``numpy.linalg.norm`` sums with BLAS ``dot``, whose last bits change with it.
     """
+    total = 0.0
+    for values in arrays:
+        flat = np.asarray(values, dtype=np.complex128).reshape(-1).view(np.float64)
+        total += np.einsum("i,i->", flat, flat)
+    return math.sqrt(total)
+
+
+def norm(a) -> float:
+    """Euclidean norm sqrt(Re inner_product(a, a)); a joint parameter's is its blocks' direct sum."""
     if isinstance(a, JointParameter):
-        return float(np.sqrt(np.linalg.norm(a.image.values) ** 2 + np.linalg.norm(a.coefficients) ** 2))
-    return float(np.linalg.norm(a.values))
+        return array_norm(a.image.values, a.coefficients)
+    return array_norm(a.values)
 
 
 def all_finite(a) -> bool:

@@ -56,6 +56,7 @@ from .grid import (
     MeasurementSet,
     MeasurementVector,
     SensitivityModel,
+    array_norm,
 )
 from .operators import LinearForward
 from .phantoms import GroundTruth, Instance, InstanceSpec, make_basis
@@ -427,7 +428,7 @@ def write_instance(instance: Instance, out_dir) -> list[Path]:
         "p_num": spec.grid.p_num,
         "p_proj": instance.mask.p_proj,
         "deltas_absolute": [float(d) for d in instance.measurements.deltas],
-        "exact_data_norms": [float(np.linalg.norm(v.values)) for v in instance.truth.exact.vectors],
+        "exact_data_norms": [array_norm(v.values) for v in instance.truth.exact.vectors],
         "initial_guess": "zero image",
         "flattening": "row-major, flat = (row-1)*p_hor + (col-1)",
         "noise_model": "complex Gaussian rescaled so ||noisy - exact|| = delta exactly",

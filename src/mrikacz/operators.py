@@ -4,8 +4,9 @@ The linear operator of receiver i maps an image P to
 
     c * restrict(F(P x S_i)),    S_i = sum_n coeff[i, n] * basis_n,
 
-where F is the flattened Fourier transform, restrict keeps the masked
-k-space positions and c is a scale factor.  The joint operator takes
+where F is the flattened Fourier transform of the model's grid (each
+operator builds its own ``DftPlan``), restrict keeps the masked k-space
+positions and c is a scale factor.  The joint operator takes
 (P, coefficients) and is bilinear in (P, coeff[i]).  All adjoint formulas
 follow the package inner product (conjugate-linear in the second slot) and
 are pinned by dot-product tests rather than trusted symbolically.
@@ -39,6 +40,7 @@ from .grid import (
     MeasurementVector,
     SensitivityModel,
     _fresh,
+    array_norm,
     combine_basis,
 )
 from .transform import DftPlan, embed
@@ -70,8 +72,7 @@ class _ReceiverOperator:
 
     ``LinearForward`` holds the model's coefficients fixed; ``JointForward``
     takes them as part of its argument and reads ``model.coefficients`` only
-    for the shape of the coefficient block.  ``plan`` transforms the model's
-    grid; each operator builds its own.
+    for the shape of the coefficient block.  Each builds its own ``plan``.
     """
 
     model: SensitivityModel
@@ -215,7 +216,7 @@ class JointForward(_ReceiverOperator):
         lin = self.linearize(x)
         s_max = float(np.abs(lin.sensitivity).max())
         colnorms = np.linalg.norm(self.model.basis_matrix, axis=0)
-        b = float(np.linalg.norm(lin.point.image.values * colnorms))
+        b = array_norm(lin.point.image.values * colnorms)
         return self._transform_bound * math.hypot(s_max, b)
 
 
@@ -241,11 +242,11 @@ def estimate_norm(
     rng = np.random.default_rng(seed)
     n = op.model.grid.p_num
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= array_norm(v)
     lam = 0.0
     for _ in range(max_iter):
         w = op.adjoint(op.apply(ComplexImage(op.model.grid, v))).values
-        lam_new = float(np.linalg.norm(w))
+        lam_new = array_norm(w)
         if lam_new == 0.0:
             return 0.0
         v = w / lam_new
@@ -414,7 +415,7 @@ def _ball_offset(rng: np.random.Generator, like):
     """
     if isinstance(like, np.ndarray):
         g = rng.standard_normal(like.shape)
-        g /= np.linalg.norm(g)
+        g /= array_norm(g)
         return g * rng.uniform(0.0, 1.0)
     g = _random_like(rng, like)
     return g * (rng.uniform(0.0, 1.0) / grid.norm(g))

@@ -23,6 +23,7 @@ from .grid import (
     MeasurementSet,
     MeasurementVector,
     SensitivityModel,
+    array_norm,
 )
 from .operators import LinearForward, Problem, joint_from_linear
 
@@ -131,6 +132,8 @@ def _mask_size(family: str, shape: GridShape, p_proj: int | None, fraction: floa
         return shape.p_num
     if p_proj is None and fraction is None:
         raise ConfigurationError(f"mask family {family!r} needs p_proj or fraction")
+    if p_proj is None and not math.isfinite(fraction):
+        raise ConfigurationError(f"mask fraction must be finite, got {fraction}")
     if family == "rows":
         n_rows = math.ceil(fraction * shape.p_ver) if p_proj is None else -(-p_proj // shape.p_hor)
         if n_rows < 1:
@@ -271,7 +274,7 @@ def calibrated_noise(exact: MeasurementSet, deltas, seed=0) -> MeasurementSet:
             vectors.append(vec)
             continue
         g = rng.standard_normal(vec.values.size) + 1j * rng.standard_normal(vec.values.size)
-        g *= delta / np.linalg.norm(g)
+        g *= delta / array_norm(g)
         vectors.append(MeasurementVector(vec.mask, vec.values + g))
     return MeasurementSet(tuple(vectors), deltas)
 
@@ -313,7 +316,7 @@ def synthesize(spec: InstanceSpec) -> Instance:
 
     deltas = np.asarray(spec.deltas, dtype=np.float64)
     if spec.delta_mode == DELTA_RELATIVE:
-        deltas = deltas * np.array([np.linalg.norm(v.values) for v in exact.vectors])
+        deltas = deltas * np.array([array_norm(v.values) for v in exact.vectors])
     noisy = calibrated_noise(exact, deltas, seed_noise)
     return Instance(spec=spec, truth=truth, model=model, mask=mask, operators=operators, measurements=noisy)
 
@@ -325,7 +328,7 @@ def noise_sequence(instance: Instance, base_fraction: float = 0.1, count: int = 
     of each receiver's exact data norm and are hit exactly.
     """
     exact = instance.truth.exact
-    norms = np.array([np.linalg.norm(v.values) for v in exact.vectors])
+    norms = np.array([array_norm(v.values) for v in exact.vectors])
     seeds = np.random.SeedSequence(seed).spawn(count)
     return [
         calibrated_noise(exact, base_fraction * 0.5**m * norms, seeds[m]) for m in range(count)

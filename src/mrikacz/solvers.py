@@ -39,9 +39,7 @@ EXACT_DATA_TOLERANCE = "exact-data-tolerance"
 
 _CURVATURE_FLOOR = 1e-300
 
-# On exact data loping never triggers; a run stops once its cycle's largest
-# residual is at most this fraction of the initial one.
-EXACT_DATA_RTOL = 1e-10
+EXACT_DATA_RTOL = 1e-10  # exact data: stop once a cycle's largest residual <= this * the initial one
 
 
 def loping_weight(residual_norm: float, tau: float, delta_i: float) -> int:
@@ -206,10 +204,9 @@ def _iterate(x, problem, config, reference, metadata):
             if omega:
                 cycle_any_active = True
                 s = op.adjoint_derivative(lin, residual)
-                s_norm = grid.norm(s)
                 if config.method == METHOD_LSDK:
                     try:
-                        alpha = sdk_step_size(partial(op.derivative, lin), s, s_norm)
+                        alpha = sdk_step_size(partial(op.derivative, lin), s, grid.norm(s))
                     except SingularStepError as exc:
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)

@@ -62,8 +62,8 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, 
 
     Per step: one residual (``apply``, one forward transform, one norm, one
     mask check).  Per active step: one direction (one adjoint transform, one
-    mask check), its norm, and for lsdk the step-size map applied to it (one
-    forward transform, one norm).  Before the first step: one residual per
+    mask check), and for lsdk its norm and the step-size map applied to it
+    (one forward transform, one norm).  Before the first step: one residual per
     receiver.  The llk run is rescaled before tracing starts.
     """
     config = mk.SolverConfig(method=method, max_cycles=20)
@@ -83,7 +83,7 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, 
     assert 0 < n_active < n_steps
     assert spans["transform.forward"] == r_num + n_steps + n_maps
     assert spans["transform.adjoint"] == n_active
-    assert counts["grid.norm"] == r_num + n_steps + n_active + n_maps
+    assert counts["grid.norm"] == r_num + n_steps + 2 * n_maps
     assert spans["grid.mask_matches"] == r_num + n_steps + n_active
     if joint:
         assert spans["operators.apply"] == r_num + n_steps

@@ -143,6 +143,12 @@ class TestMakeMask:
             mk.make_mask("random", mk.GridShape(2, 2), p_proj=5)
         with pytest.raises(ConfigurationError):
             mk.make_mask("random", mk.GridShape(2, 2), p_proj=0)
+        for family in ("random", "rows"):
+            for fraction in (np.inf, np.nan):
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    mk.make_mask(family, mk.GridShape(2, 2), fraction=fraction)
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    mk.InstanceSpec(mask_family=family, mask_fraction=fraction)
 
     def test_needs_size_argument(self):
         with pytest.raises(ConfigurationError):
