@@ -367,7 +367,7 @@ def inner_product(a, b) -> complex:
 
 
 def array_norm(*arrays) -> float:
-    """Euclidean norm of all entries of ``arrays`` together, summed without BLAS.
+    """Euclidean norm of all entries of complex128 or float64 ``arrays``, summed without BLAS.
 
     Every whole-array norm in the package is summed here: ``einsum`` over the
     float64 view gives the same bits under any BLAS thread count, while
@@ -375,7 +375,7 @@ def array_norm(*arrays) -> float:
     """
     total = 0.0
     for values in arrays:
-        flat = np.asarray(values, dtype=np.complex128).reshape(-1).view(np.float64)
+        flat = values.reshape(-1).view(np.float64)
         total += np.einsum("i,i->", flat, flat)
     return math.sqrt(total)
 

@@ -74,7 +74,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         work.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", RUN], cwd=work, env=env, check=True, capture_output=True)
+        done = subprocess.run([sys.executable, "-c", RUN], cwd=work, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
         outputs[threads] = {
             str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()
         }
