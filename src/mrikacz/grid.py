@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+try:  # the C function behind np.einsum, without its Python wrapper's dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - numpy < 2.0
+    _einsum = np.einsum
 
 _COMPLEX = np.dtype(np.complex128)
 
@@ -85,6 +89,13 @@ class _Vector:
         return self._map(lambda values: values * scalar)
 
     __rmul__ = __mul__
+
+    def minus_scaled(self, alpha, other):
+        """``self - alpha * other`` with one layout check, without building ``alpha * other``."""
+        result = self._binary(other, lambda a, b: a - b * alpha)
+        if result is NotImplemented:
+            raise TypeError(f"cannot subtract {type(other).__name__} from {type(self).__name__}")
+        return result
 
     def __neg__(self):
         # Not a product with -1, which turns -0.0 into +0.0 and a complex inf into nan.
@@ -372,11 +383,12 @@ def array_norm(*arrays) -> float:
     Every whole-array norm in the package is summed here: ``einsum`` over the
     float64 view gives the same bits under any BLAS thread count, while
     ``numpy.linalg.norm`` sums with BLAS ``dot``, whose last bits change with it.
+    The sum calls einsum's C function directly where numpy exposes it.
     """
     total = 0.0
     for values in arrays:
         flat = values.reshape(-1).view(np.float64)
-        total += np.einsum("i,i->", flat, flat)
+        total += _einsum("i,i->", flat, flat)
     return math.sqrt(total)
 
 

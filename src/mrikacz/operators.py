@@ -43,7 +43,7 @@ from .grid import (
     array_norm,
     combine_basis,
 )
-from .transform import DftPlan, embed
+from .transform import DftPlan, _zero_filled
 
 # Defaults for the seeded power iteration of the ``estimate_norm`` diagnostic.
 NORM_SEED = 1905
@@ -53,17 +53,22 @@ NORM_RTOL = 1e-6
 _DENOM_FLOOR = 1e-14
 
 
+def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
+    """``values * scale`` for a new array; a unit scale changes no value and costs no pass."""
+    return values if scale == 1.0 else values * scale
+
+
 def _measure(
     plan: DftPlan, mask: KSpaceMask, scale: float, weighted: np.ndarray
 ) -> MeasurementVector:
     """scale * restrict(F weighted) for a flat pixel array ``weighted``."""
     spectrum = plan.forward_values(weighted)
-    return _fresh(MeasurementVector, mask, spectrum[mask.indices] * scale)
+    return _fresh(MeasurementVector, mask, _scaled(spectrum[mask.indices], scale))
 
 
 def _back(plan: DftPlan, mask: KSpaceMask, data: MeasurementVector) -> np.ndarray:
-    """F* embed(data) as a flat pixel array; ``embed`` checks the mask."""
-    return plan.adjoint_values(embed(mask, data).values)
+    """F* embed(data) as a flat pixel array; the zero-fill checks the mask."""
+    return plan.adjoint_values(_zero_filled(mask, data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +116,8 @@ class LinearForward(_ReceiverOperator):
 
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
         back = _back(self.plan, self.mask, data)
-        return _fresh(ComplexImage, self.model.grid, np.conj(self.sensitivity.values) * back * self.scale)
+        image = _scaled(np.conj(self.sensitivity.values) * back, self.scale)
+        return _fresh(ComplexImage, self.model.grid, image)
 
     @cached_property
     def norm_bound(self) -> float:
@@ -195,12 +201,12 @@ class JointForward(_ReceiverOperator):
         """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
         lin = self.linearize(x)
         back = _back(self.plan, self.mask, data)
-        image_part = np.conj(lin.sensitivity) * back * self.scale
+        image_part = _scaled(np.conj(lin.sensitivity) * back, self.scale)
         # <data, P F (image * basis_n)> = <back, image * basis_n>, the conjugate of
         # basis_n @ (image * conj(back)): one pixel-wise product and a b_num-row matvec.
-        coeff_part = np.zeros_like(lin.point.coefficients)
-        coeff_part[self.receiver] = self.scale * np.conj(
-            self.model.basis_matrix @ (lin.point.image.values * np.conj(back))
+        coeff_part = np.zeros(lin.point.coefficients.shape, dtype=np.complex128)
+        coeff_part[self.receiver] = _scaled(
+            np.conj(self.model.basis_matrix @ (lin.point.image.values * np.conj(back))), self.scale
         )
         return _fresh(JointParameter, _fresh(ComplexImage, self.model.grid, image_part), coeff_part)
 

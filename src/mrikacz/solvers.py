@@ -20,8 +20,8 @@ by the fixed factor ``EXACT_DATA_RTOL``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class SolverConfig:
             raise ConfigurationError(f"tau must be finite, got {self.tau}")
         if not self.tau > 2:
             raise ConfigurationError(f"tau must be > 2, got {self.tau}")
+        if isinstance(self.max_cycles, bool) or not isinstance(self.max_cycles, numbers.Integral):
+            raise ConfigurationError(f"max_cycles must be an integer, got {self.max_cycles!r}")
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be >= 1")
 
@@ -167,15 +169,17 @@ def _check_llk_bounds(problem: Problem, x0):
 
 def _iterate(x, problem, config, reference, metadata):
     ops, measurements = problem.operators, problem.measurements
+    ys = measurements.vectors
     r_num = measurements.r_num
-    deltas = measurements.deltas
-    all_exact = bool(np.all(deltas == 0.0))
+    deltas = measurements.deltas.tolist()
+    all_exact = all(d == 0.0 for d in deltas)
+    tau, lsdk = config.tau, config.method == METHOD_LSDK
     rec = _Recorder(r_num, reference is not None)
     if config.method == METHOD_LLK:
         _check_llk_bounds(problem, x)
 
     initial_max_residual = max(
-        grid.norm(op.apply(x) - y) for op, y in zip(ops, measurements.vectors)
+        grid.norm(op.apply(x) - y) for op, y in zip(ops, ys)
     )
     metadata = dict(metadata, initial_max_residual=initial_max_residual)
 
@@ -190,7 +194,7 @@ def _iterate(x, problem, config, reference, metadata):
             # One linearization per step: a joint operator evaluates S_i(x) once for
             # the residual, the direction and the step size; a linear one returns x.
             lin = op.linearize(x)
-            residual = op.apply(lin) - measurements.vectors[i]
+            residual = op.apply(lin) - ys[i]
             rnorm = grid.norm(residual)
             if not math.isfinite(rnorm):
                 # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
@@ -198,20 +202,20 @@ def _iterate(x, problem, config, reference, metadata):
                     f"non-finite residual at step {k} (receiver {i})",
                     trace=rec.build(None),
                 )
-            omega = loping_weight(rnorm, config.tau, deltas[i])
+            omega = loping_weight(rnorm, tau, deltas[i])
             error = grid.norm(x - reference) if reference is not None else None
             alpha = 1.0
             if omega:
                 cycle_any_active = True
                 s = op.adjoint_derivative(lin, residual)
-                if config.method == METHOD_LSDK:
+                if lsdk:
                     try:
-                        alpha = sdk_step_size(partial(op.derivative, lin), s, grid.norm(s))
+                        alpha = sdk_step_size(lambda ds: op.derivative(lin, ds), s, grid.norm(s))
                     except SingularStepError as exc:
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
                         ) from None
-                x = x - alpha * s
+                x = x.minus_scaled(alpha, s)
             rec.add(omega, alpha, rnorm, error)
             if omega and not grid.all_finite(x):
                 raise NumericalFailure(

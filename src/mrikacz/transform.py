@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .grid import ComplexImage, KSpaceMask, MeasurementVector, _fresh
+from .grid import _COMPLEX, ComplexImage, KSpaceMask, MeasurementVector, _fresh
 
 try:  # numpy >= 2.0: the ufuncs that numpy.fft.fft and ifft call, with factor 1
     from numpy.fft._pocketfft_umath import fft as _fft_ufunc, ifft as _ifft_ufunc
@@ -40,7 +40,8 @@ class DftPlan:
             raise ValueError("transform length must be >= 1")
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.complex128).reshape(-1)
+        if type(values) is not np.ndarray or values.dtype is not _COMPLEX or values.ndim != 1:
+            values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if values.size != self.p_num:
             raise DimensionMismatch(
                 f"plan length {self.p_num} does not match input length {values.size}"
@@ -62,10 +63,15 @@ class DftPlan:
         return _ifft_ufunc(values, 1, out=np.empty_like(values))
 
 
-def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:
-    """Zero-fill adjoint of the restriction ``values[mask.indices]``."""
+def _zero_filled(mask: KSpaceMask, g: MeasurementVector) -> np.ndarray:
+    """The values of :func:`embed` as a new writable flat array."""
     if not g.mask.matches(mask):
         raise DimensionMismatch("measurement vector does not live on this mask")
     out = np.zeros(mask.shape.p_num, dtype=np.complex128)
     out[mask.indices] = g.values
-    return _fresh(ComplexImage, mask.shape, out)
+    return out
+
+
+def embed(mask: KSpaceMask, g: MeasurementVector) -> ComplexImage:
+    """Zero-fill adjoint of the restriction ``values[mask.indices]``."""
+    return _fresh(ComplexImage, mask.shape, _zero_filled(mask, g))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrikacz as mk
+from mrikacz import grid
 from mrikacz.errors import DimensionMismatch
 
 from conftest import brute_inner
@@ -106,6 +107,8 @@ class TestSharedArithmetic:
                 left + right
             with pytest.raises(TypeError):
                 left - right
+            with pytest.raises(TypeError):
+                left.minus_scaled(0.5, right)
 
     @pytest.mark.parametrize("kind", VECTOR_KINDS)
     def test_layout_mismatch_is_dimension_mismatch(self, kind):
@@ -113,7 +116,27 @@ class TestSharedArithmetic:
         with pytest.raises(DimensionMismatch):
             a - b
         with pytest.raises(DimensionMismatch):
+            a.minus_scaled(0.5, b)
+        with pytest.raises(DimensionMismatch):
             mk.inner_product(a, b)
+
+    @pytest.mark.parametrize("alpha", [0.37, 3.5, -1e-300])
+    @pytest.mark.parametrize("kind", VECTOR_KINDS)
+    def test_minus_scaled_is_the_two_step_update_bit_for_bit(self, kind, alpha):
+        """The Kaczmarz update ``x.minus_scaled(alpha, s)`` equals ``x - alpha * s``,
+        also at signed zeros, infinities, nans and near overflow."""
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 1.0, -2.5, 5e-324]
+        rng = np.random.default_rng(7)
+        x, s = (
+            vector(kind, rng.choice(special, size=(64, 2)).view(complex).ravel())
+            for _ in range(2)
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            fused, two_step = x.minus_scaled(alpha, s), x - alpha * s
+        assert type(fused) is type(two_step)
+        for got, want in zip(arrays(fused), arrays(two_step)):
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("kind", VECTOR_KINDS)
     def test_unary_minus_is_numpy_negative_bit_for_bit(self, kind):
@@ -149,6 +172,17 @@ class TestInnerProduct:
     def test_norm_definition(self):
         a = image([3, 4j])
         assert mk.norm(a) == pytest.approx(np.sqrt(mk.inner_product(a, a).real))
+
+    def test_numpy_einsum_fallback_gives_the_same_norm_bits(self, monkeypatch):
+        """Where numpy has no ``c_einsum`` to import, ``array_norm`` calls
+        ``numpy.einsum`` and sums to the same bits."""
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (1, 512, 1296)]
+        blocks.append(rng.standard_normal((4, 3)))
+        direct = [grid.array_norm(v) for v in blocks] + [grid.array_norm(*blocks)]
+        monkeypatch.setattr(grid, "_einsum", np.einsum)
+        fallback = [grid.array_norm(v) for v in blocks] + [grid.array_norm(*blocks)]
+        assert [x.hex() for x in fallback] == [x.hex() for x in direct]
 
     @settings(max_examples=60)
     @given(complex_lists, st.integers(0, 2**32 - 1))

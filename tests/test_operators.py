@@ -291,6 +291,22 @@ class TestAdjointDerivativeJoint:
                 assert abs(lhs - rhs) <= 1e-10 * (mk.norm(dx) * mk.norm(y) + 1)
 
 
+def test_non_unit_scale_matches_the_dense_oracle():
+    """A scale other than 1 multiplies ``apply``, ``adjoint`` and ``adjoint_derivative``."""
+    rng = np.random.default_rng(53)
+    op = two_basis_op(coeff=(0.5 + 1j, -2.0), scale=2.0)
+    matrix = op_matrix(op)
+    x, g = random_image(rng, SHAPE2), random_measurement(rng, FULL4)
+    np.testing.assert_allclose(op.apply(x).values, matrix @ x.values, atol=1e-12)
+    np.testing.assert_allclose(op.adjoint(g).values, matrix.conj().T @ g.values, atol=1e-12)
+    # At (x, coefficients) the joint image block is the linear adjoint, and coefficient n
+    # pairs g with the column of that coefficient: basis image n alone, applied to x.
+    out = mk.joint_from_linear(op).adjoint_derivative(mk.JointParameter(x, op.model.coefficients), g)
+    columns = [op_matrix(two_basis_op(coeff=e, scale=2.0)) @ x.values for e in np.eye(2)]
+    np.testing.assert_allclose(out.image.values, matrix.conj().T @ g.values, atol=1e-12)
+    np.testing.assert_allclose(out.coefficients, [[np.vdot(c, g.values) for c in columns]], atol=1e-12)
+
+
 class TestEstimateNorm:
     def test_unit_basis_full_mask_is_sqrt_p(self, tiny_unit_op):
         # The operator matrix is the 4-point DFT matrix; its largest singular

@@ -78,6 +78,14 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError):
             mk.SolverConfig(max_cycles=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_max_cycles_must_be_an_integer(self, value):
+        with pytest.raises(ConfigurationError, match="max_cycles must be an integer"):
+            mk.SolverConfig(max_cycles=value)
+
+    def test_max_cycles_accepts_numpy_integers(self):
+        assert mk.SolverConfig(max_cycles=np.int64(3)).max_cycles == 3
+
     @pytest.mark.parametrize("name", ["tau"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400])
     def test_thresholds_must_be_finite(self, name, value):

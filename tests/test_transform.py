@@ -143,6 +143,27 @@ class TestFastNaiveAgreement:
         for got, want in zip(fallback, direct):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_inputs_off_the_fast_path_give_numpy_fft_values(self):
+        """Input that is not a flat native complex128 array is converted as before:
+        float64, 2-D, list, strided-view and big-endian input give numpy.fft's values."""
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        real = rng.standard_normal(12)
+        inputs = {
+            "float64": real,
+            "2-D": z[:12].reshape(3, 4),
+            "list": list(z[:12]),
+            "strided view": z[::2],
+            "big-endian": z[:12].astype(">c16"),
+        }
+        plan = mk.DftPlan(12)
+        for name, values in inputs.items():
+            flat = np.asarray(values, dtype=complex).reshape(-1)
+            np.testing.assert_array_equal(plan.forward_values(values), np.fft.fft(flat), err_msg=name)
+            np.testing.assert_array_equal(
+                plan.adjoint_values(values), np.fft.ifft(flat, norm="forward"), err_msg=name
+            )
+
 
 class TestOperatorNorm:
     @pytest.mark.parametrize("p_num", [4, 64])
