@@ -90,12 +90,11 @@ class _Vector:
 
     __rmul__ = __mul__
 
-    def minus_scaled(self, alpha, other):
-        """``self - alpha * other`` with one layout check, without building ``alpha * other``."""
-        result = self._binary(other, lambda a, b: a - b * alpha)
-        if result is NotImplemented:
-            raise TypeError(f"cannot subtract {type(other).__name__} from {type(self).__name__}")
-        return result
+    def _minus_scaled(self, alpha, other):
+        """The Kaczmarz update ``self - alpha * other`` bit for bit, for ``other`` of this
+        type: one layout check, and no ``alpha * other`` value is built."""
+        self._check_layout(other)
+        return self._map(lambda a, b: a - b * alpha, other)
 
     def __neg__(self):
         # Not a product with -1, which turns -0.0 into +0.0 and a complex inf into nan.

@@ -215,7 +215,7 @@ def _iterate(x, problem, config, reference, metadata):
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
                         ) from None
-                x = x.minus_scaled(alpha, s)
+                x = x._minus_scaled(alpha, s)
             rec.add(omega, alpha, rnorm, error)
             if omega and not grid.all_finite(x):
                 raise NumericalFailure(

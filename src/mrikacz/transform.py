@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .grid import _COMPLEX, ComplexImage, KSpaceMask, MeasurementVector, _fresh
+from .grid import ComplexImage, KSpaceMask, MeasurementVector, _fresh
 
 try:  # numpy >= 2.0: the ufuncs that numpy.fft.fft and ifft call, with factor 1
     from numpy.fft._pocketfft_umath import fft as _fft_ufunc, ifft as _ifft_ufunc
@@ -40,8 +40,7 @@ class DftPlan:
             raise ValueError("transform length must be >= 1")
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
-        if type(values) is not np.ndarray or values.dtype is not _COMPLEX or values.ndim != 1:
-            values = np.asarray(values, dtype=np.complex128).reshape(-1)
+        values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if values.size != self.p_num:
             raise DimensionMismatch(
                 f"plan length {self.p_num} does not match input length {values.size}"

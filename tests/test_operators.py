@@ -307,6 +307,26 @@ def test_non_unit_scale_matches_the_dense_oracle():
     np.testing.assert_allclose(out.coefficients, [[np.vdot(c, g.values) for c in columns]], atol=1e-12)
 
 
+@pytest.mark.parametrize("joint", [False, True])
+def test_unit_scale_skip_gives_the_run_of_an_explicit_product(monkeypatch, default_instance, joint):
+    """Skipping ``* 1.0`` leaves every array a solve produces bit-identical to
+    multiplying by it: iterate, residual norms and step sizes."""
+    problem = default_instance.joint_problem() if joint else default_instance.linear_problem()
+    run = mk.run_joint if joint else mk.run_linear
+    config = mk.SolverConfig(max_cycles=4)
+    skipped = run(problem, config)
+    monkeypatch.setattr(operators, "_scaled", lambda values, scale: values * scale)
+    multiplied = run(problem, config)
+    final = [skipped.final, multiplied.final]
+    pairs = [(skipped.trace.residuals, multiplied.trace.residuals), (skipped.trace.alphas, multiplied.trace.alphas)]
+    if joint:
+        pairs += [(f.image.values for f in final), (f.coefficients for f in final)]
+    else:
+        pairs.append(tuple(f.values for f in final))
+    for got, want in pairs:
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 class TestEstimateNorm:
     def test_unit_basis_full_mask_is_sqrt_p(self, tiny_unit_op):
         # The operator matrix is the 4-point DFT matrix; its largest singular

@@ -143,8 +143,8 @@ class TestFastNaiveAgreement:
         for got, want in zip(fallback, direct):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_inputs_off_the_fast_path_give_numpy_fft_values(self):
-        """Input that is not a flat native complex128 array is converted as before:
+    def test_other_input_layouts_give_numpy_fft_values(self):
+        """Input that is not a flat native complex128 array is converted first:
         float64, 2-D, list, strided-view and big-endian input give numpy.fft's values."""
         rng = np.random.default_rng(3)
         z = rng.standard_normal(24) + 1j * rng.standard_normal(24)
