@@ -91,8 +91,7 @@ class _Vector:
     __rmul__ = __mul__
 
     def _minus_scaled(self, alpha, other):
-        """The Kaczmarz update ``self - alpha * other`` bit for bit, for ``other`` of this
-        type: one layout check, and no ``alpha * other`` value is built."""
+        """The Kaczmarz update ``self - alpha * other`` bit for bit, without ``alpha * other``."""
         self._check_layout(other)
         return self._map(lambda a, b: a - b * alpha, other)
 

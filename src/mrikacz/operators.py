@@ -56,9 +56,8 @@ _DENOM_FLOOR = 1e-14
 def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
     """``values * scale`` for a new array; a unit scale costs no pass.
 
-    ``values * 1.0`` is a complex product by 1+0j, which can flip a zero
-    component's sign or turn the zero component of an infinite entry into
-    nan; skipping it keeps such entries as computed and every other one equal.
+    Multiplying by 1+0j could change only a zero component's sign or turn a
+    component of an infinite entry into nan; skipping it keeps them as computed.
     """
     return values if scale == 1.0 else values * scale
 
