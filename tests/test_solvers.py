@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrikacz as mk
-from mrikacz.errors import ConfigurationError, NumericalFailure, SingularStepError
+from mrikacz.errors import ConfigurationError, DimensionMismatch, NumericalFailure, SingularStepError
 
 from conftest import dft_matrix, joint_pack, op_matrix, random_image
 
@@ -341,6 +341,126 @@ class TestRunJoint:
         assert trace is not None and trace.n_steps == step and trace.k_star is None
         np.testing.assert_array_equal(trace.omegas, [0] * step)
         np.testing.assert_array_equal(trace.residuals, [0.0] * step)
+
+
+@pytest.fixture(scope="module")
+def instance8():
+    """8x8, 4 receivers, 2 basis images: a coefficient block of shape (4, 2)."""
+    return mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21))
+
+
+OTHER_GRID = mk.GridShape(4, 16)
+GRID_MISMATCH = r"grid mismatch: GridShape\(p_hor=8, p_ver=8\) vs GridShape\(p_hor=4, p_ver=16\)"
+
+
+class TestStartPointChecks:
+    """The start point and the reference are checked once, before the first step."""
+
+    @pytest.mark.parametrize("method", ["lsdk", "llk"])
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            (np.ones((4, 3)), r"coefficient block \(4, 3\) does not match the model's \(4, 2\)"),
+            (np.ones((3, 2)), r"coefficient block \(3, 2\) does not match the model's \(4, 2\)"),
+            (np.ones(2), "coefficients must be 2-D, got ndim=1"),
+        ],
+        ids=["4x3", "3x2", "1-D"],
+    )
+    def test_joint_start_coefficients(self, instance8, method, coefficients, message):
+        config = mk.SolverConfig(method=method, initial_coefficients=coefficients)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            mk.run_joint(instance8.joint_problem(), config)
+
+    def test_linear_start_image_on_another_grid(self, instance8):
+        config = mk.SolverConfig(initial_image=mk.ComplexImage.zero(OTHER_GRID))
+        with pytest.raises(DimensionMismatch, match="^image grid does not match the operator$"):
+            mk.run_linear(instance8.linear_problem(), config)
+
+    def test_joint_start_image_on_another_grid(self, instance8):
+        config = mk.SolverConfig(initial_image=mk.ComplexImage.zero(OTHER_GRID))
+        with pytest.raises(DimensionMismatch, match="^parameter image grid does not match the operator$"):
+            mk.run_joint(instance8.joint_problem(), config)
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["linear", "joint"])
+    def test_nan_start(self, instance8, joint):
+        nan = mk.ComplexImage(instance8.spec.grid, np.full(instance8.spec.grid.p_num, np.nan))
+        run, problem = (
+            (mk.run_joint, instance8.joint_problem()) if joint else (mk.run_linear, instance8.linear_problem())
+        )
+        with pytest.raises(NumericalFailure) as exc_info:
+            run(problem, mk.SolverConfig(initial_image=nan))
+        assert str(exc_info.value) == "non-finite residual at step 0 (receiver 0)"
+        assert exc_info.value.trace.n_steps == 0
+
+    def test_linear_reference_on_another_grid(self, instance8):
+        with pytest.raises(DimensionMismatch, match=f"^{GRID_MISMATCH}$"):
+            mk.run_linear(instance8.linear_problem(), reference=mk.ComplexImage.zero(OTHER_GRID))
+
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            (mk.JointParameter.zero(mk.GridShape(8, 8), 4, 3), "coefficient blocks differ in shape"),
+            (mk.JointParameter.zero(OTHER_GRID, 4, 2), GRID_MISMATCH),
+        ],
+        ids=["coefficients", "image"],
+    )
+    def test_joint_reference_layout(self, instance8, reference, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            mk.run_joint(instance8.joint_problem(), reference=reference)
+
+
+def value_arrays(value):
+    if isinstance(value, mk.JointParameter):
+        return [value.image.values, value.coefficients]
+    return [value.values]
+
+
+def problem_arrays(problem):
+    data = problem.measurements
+    out = [v.values for v in data.vectors] + [data.deltas]
+    for op in problem.operators:
+        out += [op.model.basis_matrix, op.model.coefficients, op.mask.indices]
+        if isinstance(op, mk.LinearForward):
+            out.append(op.sensitivity.values)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["linear", "joint", "llk-scaled"])
+def test_runs_share_no_memory_and_leave_the_problem_unchanged(instance8, kind):
+    """No working array of a run escapes into its result, the start point or the problem."""
+    grid = instance8.spec.grid
+    rng = np.random.default_rng(8)
+    x0 = random_image(rng, grid)
+    coeff0 = np.asarray(instance8.model.coefficients) * 0.5
+    config = mk.SolverConfig(
+        method="llk" if kind == "llk-scaled" else "lsdk",
+        max_cycles=5,
+        initial_image=x0,
+        initial_coefficients=coeff0 if kind == "joint" else None,
+    )
+    if kind == "joint":
+        problem = instance8.joint_problem()
+        run = mk.run_joint
+    else:
+        problem = instance8.linear_problem()
+        if kind == "llk-scaled":
+            problem, report = mk.rescale_problem(problem)
+            assert np.all(report.scales != 1.0)
+        run = mk.run_linear
+    before = [a.copy() for a in problem_arrays(problem)]
+    first, second = run(problem, config), run(problem, config)
+    assert int(first.trace.omegas.sum()) > 0
+    for a, b in zip(problem_arrays(problem), before):
+        assert a.tobytes() == b.tobytes()
+    inputs = problem_arrays(problem) + value_arrays(x0) + [coeff0]
+    trace_arrays = [first.trace.omegas, first.trace.alphas, first.trace.residuals]
+    for out in value_arrays(first.final):
+        assert not out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in inputs + trace_arrays)
+        assert not any(np.shares_memory(out, a) for a in value_arrays(second.final))
+    np.testing.assert_array_equal(first.trace.residuals, second.trace.residuals)
+    for a, b in zip(value_arrays(first.final), value_arrays(second.final)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize(
