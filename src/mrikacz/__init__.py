@@ -23,7 +23,6 @@ from .grid import (
     MeasurementSet,
     MeasurementVector,
     SensitivityModel,
-    all_finite,
     inner_product,
     norm,
 )
@@ -31,7 +30,6 @@ from .transform import DftPlan, embed
 from .operators import (
     ConeProbeReport,
     JointForward,
-    JointLinearization,
     LinearForward,
     Problem,
     ScalarProductModel,

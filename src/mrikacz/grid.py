@@ -90,11 +90,6 @@ class _Vector:
 
     __rmul__ = __mul__
 
-    def _minus_scaled(self, alpha, other):
-        """The Kaczmarz update ``self - alpha * other`` bit for bit, without ``alpha * other``."""
-        self._check_layout(other)
-        return self._map(lambda a, b: a - b * alpha, other)
-
     def __neg__(self):
         # Not a product with -1, which turns -0.0 into +0.0 and a complex inf into nan.
         return self._map(np.negative)
@@ -312,13 +307,13 @@ class SensitivityModel:
         return ComplexImage(self.grid, combine_basis(self.basis_matrix, self.coefficients[receiver]))
 
 
-def combine_basis(basis_matrix: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Linear combination ``sum_n coefficients[n] * basis_matrix[n]``.
+def combine_basis(basis_matrix: np.ndarray, coefficients: np.ndarray, out=None) -> np.ndarray:
+    """Linear combination ``sum_n coefficients[n] * basis_matrix[n]``, into ``out`` if given.
 
     Single shared implementation so that materializing a sensitivity through
     any code path produces bit-identical values.
     """
-    return np.asarray(coefficients, dtype=np.complex128) @ basis_matrix
+    return np.matmul(np.asarray(coefficients, dtype=np.complex128), basis_matrix, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +391,3 @@ def norm(a) -> float:
         return array_norm(a.image.values, a.coefficients)
     return array_norm(a.values)
 
-
-def all_finite(a) -> bool:
-    if isinstance(a, JointParameter):
-        return bool(np.isfinite(a.image.values).all() and np.isfinite(a.coefficients).all())
-    return bool(np.isfinite(a.values).all())

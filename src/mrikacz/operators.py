@@ -17,9 +17,12 @@ c * conj(S_i) * back and, in receiver i's row of the coefficient block,
     c * conj(B @ (P * conj(back))),    back = F* embed(r),
 
 where B is the (b_num, p_num) basis matrix: one pixel-wise product and one
-b_num-row matrix-vector product.  ``linearize`` evaluates S_i once at a
-point; the Kaczmarz loop passes the result to ``apply``, ``derivative`` and
-``adjoint_derivative``, which also accept the plain point.
+b_num-row matrix-vector product.  Every method evaluates through private
+kernels on flat arrays that write into arrays the caller passes: forward
+(pixels to masked values), back (masked values to pixels) and, for the
+joint operator, the coefficient parts.  The public methods check their
+arguments and allocate; the Kaczmarz loop checks once and passes one
+run's scratch arrays.
 """
 
 from __future__ import annotations
@@ -53,26 +56,15 @@ NORM_RTOL = 1e-6
 _DENOM_FLOOR = 1e-14
 
 
-def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
-    """``values * scale`` for a new array; a unit scale costs no pass.
+def _scale(values: np.ndarray, scale: float) -> np.ndarray:
+    """Multiply ``values`` by ``scale`` in place; a unit scale costs no pass.
 
     Multiplying by 1+0j could change only a zero component's sign or turn a
     component of an infinite entry into nan; skipping it keeps them as computed.
     """
-    return values if scale == 1.0 else values * scale
-
-
-def _measure(
-    plan: DftPlan, mask: KSpaceMask, scale: float, weighted: np.ndarray
-) -> MeasurementVector:
-    """scale * restrict(F weighted) for a flat pixel array ``weighted``."""
-    spectrum = plan.forward_values(weighted)
-    return _fresh(MeasurementVector, mask, _scaled(spectrum[mask.indices], scale))
-
-
-def _back(plan: DftPlan, mask: KSpaceMask, data: MeasurementVector) -> np.ndarray:
-    """F* embed(data) as a flat pixel array; the zero-fill checks the mask."""
-    return plan.adjoint_values(_zero_filled(mask, data))
+    if scale != 1.0:
+        np.multiply(values, scale, out=values)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +97,30 @@ class _ReceiverOperator:
         """|scale| * ||F||: the unnormalised DFT has norm sqrt(p_num), restriction <= 1."""
         return abs(self.scale) * math.sqrt(self.plan.p_num)
 
+    # Kernels on flat complex arrays; ``out`` and scratch arrays overlap no input unless stated.
+
+    def _forward(self, pixels: np.ndarray, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = scale * restrict(F pixels); ``spectrum`` is a scratch pixel array."""
+        self.plan.forward_values(pixels, out=spectrum)
+        # The mask's indices are checked in range, so "clip" never clips; it
+        # writes straight into ``out``, where the default mode would buffer it.
+        np.take(spectrum, self.mask.indices, out=out, mode="clip")
+        return _scale(out, self.scale)
+
+    def _back(self, values: np.ndarray, filled: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = F* embed(values); ``filled`` is a pixel array that is zero off the mask."""
+        filled[self.mask.indices] = values
+        return self.plan.adjoint_values(filled, out=out)
+
+    def _image_back(self, conj_sensitivity, back, out) -> np.ndarray:
+        """``out`` = scale * conj(S) * back, given conj(S); ``out`` may be either input."""
+        np.multiply(conj_sensitivity, back, out=out)
+        return _scale(out, self.scale)
+
+    def _measured(self, pixels: np.ndarray) -> MeasurementVector:
+        out = np.empty(self.mask.p_proj, dtype=np.complex128)
+        return _fresh(MeasurementVector, self.mask, self._forward(pixels, np.empty_like(pixels), out))
+
 
 class LinearForward(_ReceiverOperator):
     """Known-sensitivity forward operator of one receiver."""
@@ -113,14 +129,17 @@ class LinearForward(_ReceiverOperator):
     def sensitivity(self) -> ComplexImage:
         return self.model.materialize(self.receiver)
 
-    def apply(self, image: ComplexImage) -> MeasurementVector:
+    def _check_point(self, image: ComplexImage):
         if image.shape != self.model.grid:
             raise DimensionMismatch("image grid does not match the operator")
-        return _measure(self.plan, self.mask, self.scale, image.values * self.sensitivity.values)
+
+    def apply(self, image: ComplexImage) -> MeasurementVector:
+        self._check_point(image)
+        return self._measured(image.values * self.sensitivity.values)
 
     def adjoint(self, data: MeasurementVector) -> ComplexImage:
-        back = _back(self.plan, self.mask, data)
-        image = _scaled(np.conj(self.sensitivity.values) * back, self.scale)
+        back = self.plan.adjoint_values(_zero_filled(self.mask, data))  # F* embed(data)
+        image = self._image_back(np.conj(self.sensitivity.values), back, back)
         return _fresh(ComplexImage, self.model.grid, image)
 
     @cached_property
@@ -128,11 +147,8 @@ class LinearForward(_ReceiverOperator):
         """Closed-form upper bound |scale| * sqrt(p_num) * max|S_i| on the spectral norm."""
         return self._transform_bound * float(np.abs(self.sensitivity.values).max())
 
-    # A linear map is its own derivative at every point, so the Kaczmarz loop
-    # and the cone probe call these exactly as they call ``JointForward``'s.
-
-    def linearize(self, x: ComplexImage) -> ComplexImage:
-        return x
+    # A linear map is its own derivative at every point, so the cone probe and
+    # the llk check call these exactly as they call ``JointForward``'s.
 
     def derivative(self, x: ComplexImage, dx: ComplexImage) -> MeasurementVector:
         return self.apply(dx)
@@ -144,26 +160,8 @@ class LinearForward(_ReceiverOperator):
         return self.norm_bound
 
 
-@dataclass(frozen=True, eq=False)
-class JointLinearization:
-    """A joint operator at one checked point, with its sensitivity S_i(x) evaluated once.
-
-    Made by :meth:`JointForward.linearize`; ``sensitivity`` is the read-only
-    flat pixel array of S_i(x).
-    """
-
-    operator: JointForward
-    point: JointParameter
-    sensitivity: np.ndarray
-
-
 class JointForward(_ReceiverOperator):
-    """Parameter-to-data operator of one receiver on (image, coefficients).
-
-    Every method taking a point ``x`` accepts a :class:`JointParameter` or a
-    :class:`JointLinearization` of this operator; one made by another
-    operator is re-linearized from its point.
-    """
+    """Parameter-to-data operator of one receiver on (image, coefficients)."""
 
     def _check_point(self, x: JointParameter):
         if x.image.shape != self.model.grid:
@@ -174,47 +172,51 @@ class JointForward(_ReceiverOperator):
                 f"the model's {self.model.coefficients.shape}"
             )
 
-    def _sensitivity(self, x: JointParameter) -> np.ndarray:
-        """This receiver's sensitivity at ``x`` as a flat pixel array."""
-        return combine_basis(self.model.basis_matrix, x.coefficients[self.receiver])
+    def _sensitivity(self, coefficients: np.ndarray, out=None) -> np.ndarray:
+        """This receiver's sensitivity for a coefficient block, as a flat pixel array."""
+        return combine_basis(self.model.basis_matrix, coefficients[self.receiver], out=out)
 
-    def linearize(self, x) -> JointLinearization:
-        """``x`` checked once, with S_i(x) computed once, for the methods below."""
-        if isinstance(x, JointLinearization):
-            if x.operator is self:
-                return x
-            x = x.point
-        self._check_point(x)
-        sensitivity = self._sensitivity(x)
-        sensitivity.setflags(write=False)
-        return JointLinearization(self, x, sensitivity)
+    def _coefficient_forward(self, image, row, scratch, pixels) -> np.ndarray:
+        """``pixels`` += image * (row @ B): the derivative's term in the receiver's coefficients."""
+        combine_basis(self.model.basis_matrix, row, out=scratch)
+        np.multiply(image, scratch, out=scratch)
+        return np.add(pixels, scratch, out=pixels)
 
-    def apply(self, x) -> MeasurementVector:
-        lin = self.linearize(x)
-        return _measure(self.plan, self.mask, self.scale, lin.point.image.values * lin.sensitivity)
-
-    def derivative(self, x, dx: JointParameter) -> MeasurementVector:
-        """Directional derivative at ``x``; bilinear product rule."""
-        lin = self.linearize(x)
-        self._check_point(dx)
-        term_image = dx.image.values * lin.sensitivity
-        term_coeff = lin.point.image.values * self._sensitivity(dx)
-        return _measure(self.plan, self.mask, self.scale, term_image + term_coeff)
-
-    def adjoint_derivative(self, x, data: MeasurementVector) -> JointParameter:
-        """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
-        lin = self.linearize(x)
-        back = _back(self.plan, self.mask, data)
-        image_part = _scaled(np.conj(lin.sensitivity) * back, self.scale)
+    def _coefficient_back(self, image, back, scratch, out) -> np.ndarray:
+        """``out`` = scale * conj(B @ (image * conj(back))), receiver's row of the adjoint's
+        coefficient block; ``scratch`` may be ``back``, which it then overwrites."""
         # <data, P F (image * basis_n)> = <back, image * basis_n>, the conjugate of
         # basis_n @ (image * conj(back)): one pixel-wise product and a b_num-row matvec.
-        coeff_part = np.zeros(lin.point.coefficients.shape, dtype=np.complex128)
-        coeff_part[self.receiver] = _scaled(
-            np.conj(self.model.basis_matrix @ (lin.point.image.values * np.conj(back))), self.scale
-        )
+        np.conjugate(back, out=scratch)
+        np.multiply(image, scratch, out=scratch)
+        np.matmul(self.model.basis_matrix, scratch, out=out)
+        np.conjugate(out, out=out)
+        return _scale(out, self.scale)
+
+    def apply(self, x: JointParameter) -> MeasurementVector:
+        self._check_point(x)
+        return self._measured(x.image.values * self._sensitivity(x.coefficients))
+
+    def derivative(self, x: JointParameter, dx: JointParameter) -> MeasurementVector:
+        """Directional derivative at ``x``; bilinear product rule."""
+        self._check_point(x)
+        self._check_point(dx)
+        pixels = dx.image.values * self._sensitivity(x.coefficients)
+        row = dx.coefficients[self.receiver]
+        self._coefficient_forward(x.image.values, row, np.empty_like(pixels), pixels)
+        return self._measured(pixels)
+
+    def adjoint_derivative(self, x: JointParameter, data: MeasurementVector) -> JointParameter:
+        """Adjoint of :meth:`derivative` at ``x`` under the direct-sum inner product."""
+        self._check_point(x)
+        back = self.plan.adjoint_values(_zero_filled(self.mask, data))
+        conj = np.conj(self._sensitivity(x.coefficients))
+        image_part = self._image_back(conj, back, conj)
+        coeff_part = np.zeros(x.coefficients.shape, dtype=np.complex128)
+        self._coefficient_back(x.image.values, back, back, coeff_part[self.receiver])
         return _fresh(JointParameter, _fresh(ComplexImage, self.model.grid, image_part), coeff_part)
 
-    def derivative_norm_bound(self, x) -> float:
+    def derivative_norm_bound(self, x: JointParameter) -> float:
         """Upper bound |scale| * sqrt(p_num) * hypot(max|S_i(x)|, b) on ||F_i'(x)||.
 
         The product rule splits the derivative into dP * S_i(x) and
@@ -223,10 +225,10 @@ class JointForward(_ReceiverOperator):
         colnorm(B)_k the norm of the basis values at pixel k.  At a zero image
         b = 0, and the bound is the linear operator's :attr:`~LinearForward.norm_bound`.
         """
-        lin = self.linearize(x)
-        s_max = float(np.abs(lin.sensitivity).max())
+        self._check_point(x)
+        s_max = float(np.abs(self._sensitivity(x.coefficients)).max())
         colnorms = np.linalg.norm(self.model.basis_matrix, axis=0)
-        b = array_norm(lin.point.image.values * colnorms)
+        b = array_norm(x.image.values * colnorms)
         return self._transform_bound * math.hypot(s_max, b)
 
 

@@ -10,8 +10,10 @@ whenever the residual is already within tau * delta of the noise level.
 ``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz) and needs every
 ||F_i'(x_0)|| <= 1; ``method="lsdk"`` uses the steepest-descent step
 ||s_k||^2 / ||F_i'(x_k) s_k||^2.  The linear and joint runs share one loop;
-a linear operator is its own derivative.  Each step linearizes its operator
-once at x_k and passes the result to the residual, direction and step size.
+a linear operator is its own derivative.  The loop checks the start point,
+the reference and the problem once, then runs on bare arrays: it calls the
+operators' private kernels with one run's scratch arrays, evaluates a joint
+step's sensitivity S_i(x) once, and wraps value types only for the result.
 The run stops at the first cycle whose steps all loped, at a cycle cap, or
 (for exact data, where loping never triggers) once the residual has dropped
 by the fixed factor ``EXACT_DATA_RTOL``.
@@ -25,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grid
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
-from .grid import ComplexImage, JointParameter
+from .grid import ComplexImage, JointParameter, _fresh, array_norm
 from .operators import JointForward, LinearForward, Problem
 
 METHOD_LLK = "llk"
@@ -47,18 +48,16 @@ def loping_weight(residual_norm: float, tau: float, delta_i: float) -> int:
     return 1 if residual_norm > tau * delta_i else 0
 
 
-def sdk_step_size(apply, s, s_norm: float) -> float:
-    """Steepest-descent step ||s||^2 / ||apply(s)||^2, given ``s_norm`` = ||s||.
-
-    ``apply`` maps the parameter space into data space: the loop passes the
-    derivative F_i'(x) at the current iterate.
+def sdk_step_size(s_norm: float, mapped_norm: float) -> float:
+    """Steepest-descent step ||s||^2 / ||F_i'(x) s||^2, given ``s_norm`` = ||s||
+    and ``mapped_norm`` = ||F_i'(x) s||, the norm of the derivative at the
+    current iterate applied to s.
     """
-    denom = grid.norm(apply(s))
-    if denom < _CURVATURE_FLOOR:
+    if mapped_norm < _CURVATURE_FLOOR:
         raise SingularStepError(
             "steepest-descent step hit a numerically zero curvature term"
         )
-    ratio = s_norm / denom
+    ratio = s_norm / mapped_norm
     return float(ratio * ratio)
 
 
@@ -167,20 +166,49 @@ def _check_llk_bounds(problem: Problem, x0):
             )
 
 
+def _update(blocks, directions, scratches, alpha):
+    """x -= alpha * s in place, block by block: the value algebra's ``x - alpha * s`` bit for bit."""
+    for block, step, tmp in zip(blocks, directions, scratches):
+        np.subtract(block, np.multiply(step, alpha, out=tmp), out=block)
+
+
 def _iterate(x, problem, config, reference, metadata):
     ops, measurements = problem.operators, problem.measurements
-    ys = measurements.vectors
+    for op in ops:
+        op._check_point(x)
+    if reference is not None:
+        x._check_layout(reference)
+    if config.method == METHOD_LLK:
+        _check_llk_bounds(problem, x)
+    ys = [v.values for v in measurements.vectors]
     r_num = measurements.r_num
     deltas = measurements.deltas.tolist()
     all_exact = all(d == 0.0 for d in deltas)
     tau, lsdk = config.tau, config.method == METHOD_LSDK
     rec = _Recorder(r_num, reference is not None)
-    if config.method == METHOD_LLK:
-        _check_llk_bounds(problem, x)
 
-    initial_max_residual = max(
-        grid.norm(op.apply(x) - y) for op, y in zip(ops, ys)
-    )
+    # The run's own arrays, written with ``out=``: the iterate's blocks (image, and a joint
+    # run's coefficients), which become the result, the direction's (a joint one is zero
+    # outside the step's receiver row) and one step's scratch arrays.
+    joint = isinstance(x, JointParameter)
+    image = np.array(x.image.values if joint else x.values)
+    blocks = [image, np.array(x.coefficients)] if joint else [image]
+    directions = [np.zeros_like(b) for b in blocks]
+    scratches = [np.empty_like(b) for b in blocks]
+    if reference is not None:
+        references = [reference.image.values, reference.coefficients] if joint else [reference.values]
+    direction, scratch = directions[0], scratches[0]
+    pixels, spectrum, back, sensitivity = (np.empty_like(image) for _ in range(4))
+    filled = np.zeros_like(image)  # only the masked entries are ever written
+    residual = np.empty(measurements.mask.p_proj, dtype=np.complex128)
+
+    def residual_norm(op, y):
+        """||F_i(x) - y||, leaving F_i(x) - y in ``residual`` and a joint S_i(x) in ``sensitivity``."""
+        sens = op._sensitivity(blocks[1], out=sensitivity) if joint else op.sensitivity.values
+        op._forward(np.multiply(image, sens, out=pixels), spectrum, residual)
+        return array_norm(np.subtract(residual, y, out=residual))
+
+    initial_max_residual = max(residual_norm(op, y) for op, y in zip(ops, ys))
     metadata = dict(metadata, initial_max_residual=initial_max_residual)
 
     k = 0
@@ -191,11 +219,7 @@ def _iterate(x, problem, config, reference, metadata):
         cycle_any_active = False
         for i in range(r_num):
             op = ops[i]
-            # One linearization per step: a joint operator evaluates S_i(x) once for
-            # the residual, the direction and the step size; a linear one returns x.
-            lin = op.linearize(x)
-            residual = op.apply(lin) - ys[i]
-            rnorm = grid.norm(residual)
+            rnorm = residual_norm(op, ys[i])
             if not math.isfinite(rnorm):
                 # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
                 raise NumericalFailure(
@@ -203,21 +227,33 @@ def _iterate(x, problem, config, reference, metadata):
                     trace=rec.build(None),
                 )
             omega = loping_weight(rnorm, tau, deltas[i])
-            error = grid.norm(x - reference) if reference is not None else None
+            error = None
+            if reference is not None:
+                error = array_norm(*map(np.subtract, blocks, references, scratches))
             alpha = 1.0
             if omega:
                 cycle_any_active = True
-                s = op.adjoint_derivative(lin, residual)
+                sens = sensitivity if joint else op.sensitivity.values
+                op._back(residual, filled, back)
+                op._image_back(np.conjugate(sens, out=direction), back, direction)
+                if joint:
+                    op._coefficient_back(image, back, back, directions[1][i])
                 if lsdk:
+                    np.multiply(direction, sens, out=pixels)
+                    if joint:
+                        op._coefficient_forward(image, directions[1][i], scratch, pixels)
+                    mapped_norm = array_norm(op._forward(pixels, spectrum, residual))
                     try:
-                        alpha = sdk_step_size(lambda ds: op.derivative(lin, ds), s, grid.norm(s))
+                        alpha = sdk_step_size(array_norm(*directions), mapped_norm)
                     except SingularStepError as exc:
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
                         ) from None
-                x = x._minus_scaled(alpha, s)
+                _update(blocks, directions, scratches, alpha)
+                if joint:
+                    directions[1][i] = 0
             rec.add(omega, alpha, rnorm, error)
-            if omega and not grid.all_finite(x):
+            if omega and not all(np.isfinite(b).all() for b in blocks):
                 raise NumericalFailure(
                     f"non-finite iterate at step {k} (receiver {i})",
                     trace=rec.build(None),
@@ -231,7 +267,10 @@ def _iterate(x, problem, config, reference, metadata):
         if all_exact and cycle_max_residual <= EXACT_DATA_RTOL * initial_max_residual:
             reason = EXACT_DATA_TOLERANCE
             break
-    return SolveResult(final=x, trace=rec.build(k_star), reason=reason, metadata=metadata)
+    final = _fresh(ComplexImage, x.image.shape if joint else x.shape, image)
+    if joint:
+        final = _fresh(JointParameter, final, blocks[1])
+    return SolveResult(final=final, trace=rec.build(k_star), reason=reason, metadata=metadata)
 
 
 def _check_family(problem: Problem, family: type, run: str):

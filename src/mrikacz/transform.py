@@ -47,19 +47,26 @@ class DftPlan:
             )
         return values
 
-    def forward_values(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform on a flat complex array."""
+    def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward transform on a flat complex array, into ``out`` (another array) if given."""
         values = self._checked(values)
         if _fft_ufunc is None:
-            return np.fft.fft(values)
-        return _fft_ufunc(values, 1, out=np.empty_like(values))
+            return _into(np.fft.fft(values), out)
+        return _fft_ufunc(values, 1, out=np.empty_like(values) if out is None else out)
 
-    def adjoint_values(self, values: np.ndarray) -> np.ndarray:
-        """Adjoint transform (conjugate kernel, unnormalized) on a flat complex array."""
+    def adjoint_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Adjoint transform (conjugate kernel, unnormalized), into ``out`` if given."""
         values = self._checked(values)
         if _ifft_ufunc is None:
-            return np.fft.ifft(values, norm="forward")
-        return _ifft_ufunc(values, 1, out=np.empty_like(values))
+            return _into(np.fft.ifft(values, norm="forward"), out)
+        return _ifft_ufunc(values, 1, out=np.empty_like(values) if out is None else out)
+
+
+def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def _zero_filled(mask: KSpaceMask, g: MeasurementVector) -> np.ndarray:

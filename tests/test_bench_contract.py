@@ -58,13 +58,16 @@ def small_instance():
     "method, joint", [("lsdk", False), ("lsdk", True), ("llk", False)], ids=["linear", "joint", "llk"]
 )
 def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, joint):
-    """Every transform, operator call and norm of a solve goes through a traced name.
+    """Every transform of a solve goes through a traced name, and nothing else the tracer wraps.
 
-    Per step: one residual (``apply``, one forward transform, one norm, one
-    mask check).  Per active step: one direction (one adjoint transform, one
-    mask check), and for lsdk its norm and the step-size map applied to it
-    (one forward transform, one norm).  Before the first step: one residual per
-    receiver.  The llk run is rescaled before tracing starts.
+    Per step: one residual (one forward transform).  Per active step: one
+    direction (one adjoint transform) and, for lsdk, the step-size map
+    applied to it (one forward transform).  Before the first step: one
+    residual per receiver.  The loop checks the start point once and then
+    calls the operators' private kernels and sums its norms with
+    ``grid.array_norm``, so no public operator method, ``grid.norm`` or mask
+    check runs inside a solve: a traced run counts the operator layer's time
+    in ``solvers.self_s``.  The llk run is rescaled before tracing starts.
     """
     config = mk.SolverConfig(method=method, max_cycles=20)
     if joint:
@@ -83,15 +86,12 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, 
     assert 0 < n_active < n_steps
     assert spans["transform.forward"] == r_num + n_steps + n_maps
     assert spans["transform.adjoint"] == n_active
-    assert counts["grid.norm"] == r_num + n_steps + 2 * n_maps
-    assert spans["grid.mask_matches"] == r_num + n_steps + n_active
-    if joint:
-        assert spans["operators.apply"] == r_num + n_steps
-        assert spans["operators.joint_derivative"] == n_active
-        assert spans["operators.joint_adjoint_derivative"] == n_active
-        assert spans["operators.adjoint"] == 0
-    else:
-        # The linear step-size map is the operator itself.
-        assert spans["operators.apply"] == r_num + n_steps + n_maps
-        assert spans["operators.adjoint"] == n_active
-        assert spans["operators.joint_derivative"] == 0
+    assert counts.get("grid.norm", 0) == 0
+    assert spans["grid.mask_matches"] == 0
+    for name in (
+        "operators.apply",
+        "operators.adjoint",
+        "operators.joint_derivative",
+        "operators.joint_adjoint_derivative",
+    ):
+        assert spans[name] == 0

@@ -114,14 +114,12 @@ class TestSharedArithmetic:
         with pytest.raises(DimensionMismatch):
             a - b
         with pytest.raises(DimensionMismatch):
-            a._minus_scaled(0.5, b)
-        with pytest.raises(DimensionMismatch):
             mk.inner_product(a, b)
 
     @pytest.mark.parametrize("alpha", [0.37, 3.5, -1e-300])
     @pytest.mark.parametrize("kind", VECTOR_KINDS)
     def test_fused_update_is_the_two_step_update_bit_for_bit(self, kind, alpha):
-        """The solver's Kaczmarz update ``x._minus_scaled(alpha, s)`` equals
+        """The solver's in-place Kaczmarz update of the iterate's arrays equals
         ``x - alpha * s``, also at signed zeros, infinities, nans and near overflow."""
         special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 1.0, -2.5, 5e-324]
         rng = np.random.default_rng(7)
@@ -129,11 +127,11 @@ class TestSharedArithmetic:
             vector(kind, rng.choice(special, size=(64, 2)).view(complex).ravel())
             for _ in range(2)
         )
+        fused = [a.copy() for a in arrays(x)]
         with np.errstate(invalid="ignore", over="ignore"):
-            fused, two_step = x._minus_scaled(alpha, s), x - alpha * s
-        assert type(fused) is type(two_step)
-        for got, want in zip(arrays(fused), arrays(two_step)):
-            assert not got.flags.writeable
+            mk.solvers._update(fused, arrays(s), [np.empty_like(a) for a in fused], alpha)
+            two_step = x - alpha * s
+        for got, want in zip(fused, arrays(two_step)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("kind", VECTOR_KINDS)

@@ -165,9 +165,9 @@ class TestInstanceRoundTrip:
         calls = []
         forward = mk.DftPlan.forward_values
 
-        def counted(plan, values):
+        def counted(plan, values, out=None):
             calls.append(plan)
-            return forward(plan, values)
+            return forward(plan, values, out)
 
         monkeypatch.setattr(mk.DftPlan, "forward_values", counted)
         loaded = io.load_instance(tmp_path)
@@ -577,7 +577,7 @@ class TestReconstructCommand:
 
     def test_failure_summary_reads_the_partial_trace(self, tmp_path, generated, monkeypatch):
         problem = io.load_instance(generated).linear_problem()
-        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1e308)
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda s_norm, mapped_norm: 1e308)
         config = mk.SolverConfig(method="lsdk", max_cycles=5)
         with pytest.raises(NumericalFailure) as exc_info, np.errstate(over="ignore", invalid="ignore"):
             mk.run_linear(problem, config)
@@ -727,10 +727,10 @@ class TestReconstructCommand:
             solved.append((args[0], result))
             return result
 
-        def forward_values(plan, values):
+        def forward_values(plan, values, out=None):
             if solved:
                 forward_after_solve.append(values)
-            return forward(plan, values)
+            return forward(plan, values, out)
 
         forward = mk.DftPlan.forward_values
         monkeypatch.setattr(cli, "run_linear", run_linear)

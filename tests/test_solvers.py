@@ -45,10 +45,7 @@ class TestSdkStepSize:
         residual = matrix @ x
         s_vals = matrix.conj().T @ residual
         np.testing.assert_array_equal(s_vals, [4, 0])
-        shape = mk.GridShape(2, 1)
-        s = mk.ComplexImage(shape, s_vals)
-        apply = lambda v: mk.ComplexImage(shape, matrix @ v.values)
-        assert mk.sdk_step_size(apply, s, mk.norm(s)) == pytest.approx(0.25)
+        assert mk.sdk_step_size(np.linalg.norm(s_vals), np.linalg.norm(matrix @ s_vals)) == 0.25
 
     def test_orthonormal_operator_gives_unit_step(self):
         rng = np.random.default_rng(1)
@@ -56,13 +53,11 @@ class TestSdkStepSize:
         isometry = mk.LinearForward(model, FULL4, 0, scale=0.5)
         for _ in range(5):
             s = random_image(rng, SHAPE2)
-            assert mk.sdk_step_size(isometry.apply, s, mk.norm(s)) == pytest.approx(1.0)
+            assert mk.sdk_step_size(mk.norm(s), mk.norm(isometry.apply(s))) == pytest.approx(1.0)
 
     def test_singular_step_raises(self):
-        s = mk.ComplexImage(SHAPE2, [1, 0, 0, 0])
-        zero_map = lambda v: 0.0 * v
         with pytest.raises(SingularStepError):
-            mk.sdk_step_size(zero_map, s, mk.norm(s))
+            mk.sdk_step_size(1.0, 0.0)
 
 
 class TestSolverConfig:
@@ -190,7 +185,7 @@ class TestRunLinear:
     def test_lsdk_with_forced_unit_step_reproduces_llk(self, default_instance, monkeypatch):
         problem, _ = mk.rescale_problem(default_instance.linear_problem())
         llk = mk.run_linear(problem, mk.SolverConfig(method="llk"))
-        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1.0)
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda s_norm, mapped_norm: 1.0)
         forced = mk.run_linear(problem, mk.SolverConfig(method="lsdk"))
         np.testing.assert_array_equal(llk.final.values, forced.final.values)
         np.testing.assert_array_equal(llk.trace.residuals, forced.trace.residuals)
@@ -217,7 +212,7 @@ class TestRunLinear:
 
     def test_numerical_failure_carries_partial_trace(self, monkeypatch):
         problem, _ = unit_problem([1, 1j, -1, -1j], deltas=(0.01,), noise_seed=3)
-        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda apply, s, s_norm: 1e308)
+        monkeypatch.setattr(mk.solvers, "sdk_step_size", lambda s_norm, mapped_norm: 1e308)
         config = mk.SolverConfig(method="lsdk", max_cycles=5)
         with pytest.raises(NumericalFailure) as exc_info, np.errstate(over="ignore"):
             mk.run_linear(problem, config)
