@@ -118,6 +118,7 @@ class _ReceiverOperator:
         return _scale(out, self.scale)
 
     def _measured(self, pixels: np.ndarray) -> MeasurementVector:
+        """scale * restrict(F pixels) as a new measurement vector."""
         out = np.empty(self.mask.p_proj, dtype=np.complex128)
         return _fresh(MeasurementVector, self.mask, self._forward(pixels, np.empty_like(pixels), out))
 

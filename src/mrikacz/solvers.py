@@ -197,8 +197,9 @@ def _iterate(x, problem, config, reference, metadata):
     scratches = [np.empty_like(b) for b in blocks]
     if reference is not None:
         references = [reference.image.values, reference.coefficients] if joint else [reference.values]
-    direction, scratch = directions[0], scratches[0]
-    pixels, spectrum, back, sensitivity = (np.empty_like(image) for _ in range(4))
+    direction = directions[0]
+    pixels, spectrum, back = (np.empty_like(image) for _ in range(3))
+    sensitivity = np.empty_like(image) if joint else None
     filled = np.zeros_like(image)  # only the masked entries are ever written
     residual = np.empty(measurements.mask.p_proj, dtype=np.complex128)
 
@@ -241,7 +242,7 @@ def _iterate(x, problem, config, reference, metadata):
                 if lsdk:
                     np.multiply(direction, sens, out=pixels)
                     if joint:
-                        op._coefficient_forward(image, directions[1][i], scratch, pixels)
+                        op._coefficient_forward(image, directions[1][i], back, pixels)
                     mapped_norm = array_norm(op._forward(pixels, spectrum, residual))
                     try:
                         alpha = sdk_step_size(array_norm(*directions), mapped_norm)
