@@ -17,12 +17,13 @@ c * conj(S_i) * back and, in receiver i's row of the coefficient block,
     c * conj(B @ (P * conj(back))),    back = F* embed(r),
 
 where B is the (b_num, p_num) basis matrix: one pixel-wise product and one
-b_num-row matrix-vector product.  Every method evaluates through private
+b_num-row matrix-vector product.  The operators evaluate through private
 kernels on flat arrays that write into arrays the caller passes: forward
 (pixels to masked values), back (masked values to pixels) and, for the
 joint operator, the coefficient parts.  The public methods check their
-arguments and allocate; the Kaczmarz loop checks once and passes one
-run's scratch arrays.
+arguments, allocate and call them (a public adjoint transforms a new
+zero-filled array); the Kaczmarz loop checks once and passes one run's
+arrays.
 """
 
 from __future__ import annotations
