@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -300,6 +301,13 @@ class SensitivityModel:
     def r_num(self) -> int:
         return int(self.coefficients.shape[0])
 
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """colnorm(B)_k, the norm of the basis values at pixel k; computed once, read-only."""
+        norms = np.linalg.norm(self.basis_matrix, axis=0)
+        norms.flags.writeable = False
+        return norms
+
     def materialize(self, receiver: int) -> ComplexImage:
         """Sum the basis with receiver ``receiver``'s coefficients."""
         if not (0 <= receiver < self.r_num):
@@ -378,9 +386,13 @@ def array_norm(*arrays) -> float:
     ``numpy.linalg.norm`` sums with BLAS ``dot``, whose last bits change with it.
     The sum calls einsum's C function directly where numpy exposes it.
     """
+    return _view_norm(*(values.reshape(-1).view(np.float64) for values in arrays))
+
+
+def _view_norm(*views) -> float:
+    """:func:`array_norm` of the arrays whose flat float64 views are ``views``, bit for bit."""
     total = 0.0
-    for values in arrays:
-        flat = values.reshape(-1).view(np.float64)
+    for flat in views:
         total += _einsum("i,i->", flat, flat)
     return math.sqrt(total)
 

@@ -105,7 +105,7 @@ class _ReceiverOperator:
         self.plan.forward_values(pixels, out=spectrum)
         # The mask's indices are checked in range, so "clip" never clips; it
         # writes straight into ``out``, where the default mode would buffer it.
-        np.take(spectrum, self.mask.indices, out=out, mode="clip")
+        spectrum.take(self.mask.indices, out=out, mode="clip")
         return _scale(out, self.scale)
 
     def _back(self, values: np.ndarray, filled: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -224,13 +224,13 @@ class JointForward(_ReceiverOperator):
         The product rule splits the derivative into dP * S_i(x) and
         P * (dc_i @ B); by Cauchy-Schwarz the second has norm at most
         b * ||dc_i|| with b = ||P * colnorm(B)||_2, where P is x's image and
-        colnorm(B)_k the norm of the basis values at pixel k.  At a zero image
+        colnorm(B)_k the norm of the basis values at pixel k (the model's
+        :attr:`~mrikacz.grid.SensitivityModel.column_norms`, computed once).  At a zero image
         b = 0, and the bound is the linear operator's :attr:`~LinearForward.norm_bound`.
         """
         self._check_point(x)
         s_max = float(np.abs(self._sensitivity(x.coefficients)).max())
-        colnorms = np.linalg.norm(self.model.basis_matrix, axis=0)
-        b = array_norm(x.image.values * colnorms)
+        b = array_norm(x.image.values * self.model.column_norms)
         return self._transform_bound * math.hypot(s_max, b)
 
 

@@ -11,9 +11,13 @@ whenever the residual is already within tau * delta of the noise level.
 ||F_i'(x_0)|| <= 1; ``method="lsdk"`` uses the steepest-descent step
 ||s_k||^2 / ||F_i'(x_k) s_k||^2.  The linear and joint runs share one loop;
 a linear operator is its own derivative.  The loop checks the start point,
-the reference and the problem once, then runs on bare arrays: it calls the
-operators' private kernels with one run's scratch arrays, evaluates a joint
-step's sensitivity S_i(x) once, and wraps value types only for the result.
+the reference and the problem once, then runs on bare arrays.  The iterate,
+the direction and the scratch are each one flat array per run (the image,
+then a joint run's coefficients), so an update is two ufunc calls and the
+non-finite check one sum.  Each receiver's arguments (data, noise level,
+sensitivity or coefficient rows) are bound once per run; a step calls the
+operators' private kernels, evaluates a joint step's sensitivity S_i(x)
+once, and the result's blocks are views of the final state.
 The run stops at the first cycle whose steps all loped, at a cycle cap, or
 (for exact data, where loping never triggers) once the residual has dropped
 by the fixed factor ``EXACT_DATA_RTOL``.
@@ -28,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
-from .grid import ComplexImage, JointParameter, _fresh, array_norm
+from . import operators
+from .grid import ComplexImage, JointParameter, _einsum, _fresh, _view_norm
 from .operators import JointForward, LinearForward, Problem
 
 METHOD_LLK = "llk"
@@ -166,10 +171,9 @@ def _check_llk_bounds(problem: Problem, x0):
             )
 
 
-def _update(blocks, directions, scratches, alpha):
-    """x -= alpha * s in place, block by block: the value algebra's ``x - alpha * s`` bit for bit."""
-    for block, step, tmp in zip(blocks, directions, scratches):
-        np.subtract(block, np.multiply(step, alpha, out=tmp), out=block)
+def _update(state, direction, scratch, alpha):
+    """x -= alpha * s in place on flat arrays: the value algebra's ``x - alpha * s`` bit for bit."""
+    np.subtract(state, np.multiply(direction, alpha, out=scratch), out=state)
 
 
 def _iterate(x, problem, config, reference, metadata):
@@ -180,36 +184,64 @@ def _iterate(x, problem, config, reference, metadata):
         x._check_layout(reference)
     if config.method == METHOD_LLK:
         _check_llk_bounds(problem, x)
-    ys = [v.values for v in measurements.vectors]
     r_num = measurements.r_num
     deltas = measurements.deltas.tolist()
     all_exact = all(d == 0.0 for d in deltas)
     tau, lsdk = config.tau, config.method == METHOD_LSDK
     rec = _Recorder(r_num, reference is not None)
 
-    # The run's own arrays, written with ``out=``: the iterate's blocks (image, and a joint
-    # run's coefficients), which become the result, the direction's (a joint one is zero
-    # outside the step's receiver row) and one step's scratch arrays.
+    # The run's own arrays, written with ``out=``.  The iterate (which becomes the result),
+    # the direction and the scratch are each one flat array: the image block, then a joint
+    # run's coefficient block, both views.  An update is two ufunc calls over the whole
+    # state; a joint direction is zero outside the step's coefficient row.  Norms sum the
+    # float64 views of the blocks one after the other, as ``array_norm`` sums them.
     joint = isinstance(x, JointParameter)
-    image = np.array(x.image.values if joint else x.values)
-    blocks = [image, np.array(x.coefficients)] if joint else [image]
-    directions = [np.zeros_like(b) for b in blocks]
-    scratches = [np.empty_like(b) for b in blocks]
+    starts = [x.image.values, x.coefficients] if joint else [x.values]
+    state = np.concatenate([b.reshape(-1) for b in starts])
+    direction, scratch = np.zeros_like(state), np.empty_like(state)
+    p_num = starts[0].size
+    blocks = [slice(0, p_num), slice(p_num, None)] if joint else [slice(None)]
+    image, d_image = state[:p_num], direction[:p_num]
+    d_views = [direction[b].view(np.float64) for b in blocks]
     if reference is not None:
         references = [reference.image.values, reference.coefficients] if joint else [reference.values]
-    direction = directions[0]
+        errors = [
+            (state[b], ref.reshape(-1), scratch[b], scratch[b].view(np.float64))
+            for b, ref in zip(blocks, references)
+        ]
+    state_f64 = state.view(np.float64)
+    zero = np.broadcast_to(0.0, state_f64.shape)  # 0 * v is nan exactly where v is inf or nan
     pixels, spectrum, back = (np.empty_like(image) for _ in range(3))
-    sensitivity = np.empty_like(image) if joint else None
     filled = np.zeros_like(image)  # only the masked entries are ever written
     residual = np.empty(measurements.mask.p_proj, dtype=np.complex128)
+    residual_f64 = residual.view(np.float64)
 
-    def residual_norm(op, y):
-        """||F_i(x) - y||, leaving F_i(x) - y in ``residual`` and a joint S_i(x) in ``sensitivity``."""
-        sens = op._sensitivity(blocks[1], out=sensitivity) if joint else op.sensitivity.values
+    # Each receiver's arguments, bound once: its operator, data and noise level, and its
+    # sensitivity (linear), or the run's S_i(x) array, the basis and its rows of the
+    # iterate's and the direction's coefficients (joint).
+    if joint:
+        sensitivity = np.empty_like(image)
+        rows = state[p_num:].reshape(starts[1].shape)
+        d_rows = direction[p_num:].reshape(starts[1].shape)
+        receivers = [
+            (op, v.values, d, sensitivity, op.model.basis_matrix, rows[i], d_rows[i])
+            for i, (op, v, d) in enumerate(zip(ops, measurements.vectors, deltas))
+        ]
+    else:
+        receivers = [
+            (op, v.values, d, op.sensitivity.values, None, None, None)
+            for op, v, d in zip(ops, measurements.vectors, deltas)
+        ]
+
+    def residual_norm(op, y, sens, basis, row):
+        """||F_i(x) - y||, leaving F_i(x) - y in ``residual`` and a joint S_i(x) in ``sens``."""
+        if joint:
+            operators.combine_basis(basis, row, out=sens)
         op._forward(np.multiply(image, sens, out=pixels), spectrum, residual)
-        return array_norm(np.subtract(residual, y, out=residual))
+        np.subtract(residual, y, out=residual)
+        return _view_norm(residual_f64)
 
-    initial_max_residual = max(residual_norm(op, y) for op, y in zip(ops, ys))
+    initial_max_residual = max(residual_norm(op, y, s, b, r) for op, y, _, s, b, r, _ in receivers)
     metadata = dict(metadata, initial_max_residual=initial_max_residual)
 
     k = 0
@@ -218,43 +250,43 @@ def _iterate(x, problem, config, reference, metadata):
     for cycle in range(config.max_cycles):
         cycle_max_residual = 0.0
         cycle_any_active = False
-        for i in range(r_num):
-            op = ops[i]
-            rnorm = residual_norm(op, ys[i])
+        for i, (op, y, delta, sens, basis, row, d_row) in enumerate(receivers):
+            rnorm = residual_norm(op, y, sens, basis, row)
             if not math.isfinite(rnorm):
                 # loping_weight(nan, ...) is 0: the step would lope and the run "stop".
                 raise NumericalFailure(
                     f"non-finite residual at step {k} (receiver {i})",
                     trace=rec.build(None),
                 )
-            omega = loping_weight(rnorm, tau, deltas[i])
+            omega = loping_weight(rnorm, tau, delta)
             error = None
             if reference is not None:
-                error = array_norm(*map(np.subtract, blocks, references, scratches))
+                for block, ref, tmp, _ in errors:
+                    np.subtract(block, ref, out=tmp)
+                error = _view_norm(*(tmp_f64 for _, _, _, tmp_f64 in errors))
             alpha = 1.0
             if omega:
                 cycle_any_active = True
-                sens = sensitivity if joint else op.sensitivity.values
                 op._back(residual, filled, back)
-                op._image_back(np.conjugate(sens, out=direction), back, direction)
+                op._image_back(np.conjugate(sens, out=d_image), back, d_image)
                 if joint:
-                    op._coefficient_back(image, back, back, directions[1][i])
+                    op._coefficient_back(image, back, back, d_row)
                 if lsdk:
-                    np.multiply(direction, sens, out=pixels)
+                    np.multiply(d_image, sens, out=pixels)
                     if joint:
-                        op._coefficient_forward(image, directions[1][i], back, pixels)
-                    mapped_norm = array_norm(op._forward(pixels, spectrum, residual))
+                        op._coefficient_forward(image, d_row, back, pixels)
+                    op._forward(pixels, spectrum, residual)
                     try:
-                        alpha = sdk_step_size(array_norm(*directions), mapped_norm)
+                        alpha = sdk_step_size(_view_norm(*d_views), _view_norm(residual_f64))
                     except SingularStepError as exc:
                         raise SingularStepError(
                             f"{exc} at step {k} (receiver {i})", trace=rec.build(None)
                         ) from None
-                _update(blocks, directions, scratches, alpha)
+                _update(state, direction, scratch, alpha)
                 if joint:
-                    directions[1][i] = 0
+                    d_row.fill(0)
             rec.add(omega, alpha, rnorm, error)
-            if omega and not all(np.isfinite(b).all() for b in blocks):
+            if omega and _einsum("i,i->", state_f64, zero) != 0.0:
                 raise NumericalFailure(
                     f"non-finite iterate at step {k} (receiver {i})",
                     trace=rec.build(None),
@@ -268,9 +300,11 @@ def _iterate(x, problem, config, reference, metadata):
         if all_exact and cycle_max_residual <= EXACT_DATA_RTOL * initial_max_residual:
             reason = EXACT_DATA_TOLERANCE
             break
+    # Nothing writes to the state once the run is over: the result's blocks are views of it.
+    state.flags.writeable = False
     final = _fresh(ComplexImage, x.image.shape if joint else x.shape, image)
     if joint:
-        final = _fresh(JointParameter, final, blocks[1])
+        final = _fresh(JointParameter, final, rows)
     return SolveResult(final=final, trace=rec.build(k_star), reason=reason, metadata=metadata)
 
 

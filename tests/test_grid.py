@@ -119,20 +119,24 @@ class TestSharedArithmetic:
     @pytest.mark.parametrize("alpha", [0.37, 3.5, -1e-300])
     @pytest.mark.parametrize("kind", VECTOR_KINDS)
     def test_fused_update_is_the_two_step_update_bit_for_bit(self, kind, alpha):
-        """The solver's in-place Kaczmarz update of the iterate's arrays equals
-        ``x - alpha * s``, also at signed zeros, infinities, nans and near overflow."""
+        """The solver's in-place Kaczmarz update of its flat state (the value's arrays
+        one after the other) equals ``x - alpha * s``, also at signed zeros,
+        infinities, nans and near overflow."""
         special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308, 1.0, -2.5, 5e-324]
         rng = np.random.default_rng(7)
         x, s = (
             vector(kind, rng.choice(special, size=(64, 2)).view(complex).ravel())
             for _ in range(2)
         )
-        fused = [a.copy() for a in arrays(x)]
+
+        def flat(value):
+            return np.concatenate([a.reshape(-1) for a in arrays(value)])
+
+        state = flat(x)
         with np.errstate(invalid="ignore", over="ignore"):
-            mk.solvers._update(fused, arrays(s), [np.empty_like(a) for a in fused], alpha)
+            mk.solvers._update(state, flat(s), np.empty_like(state), alpha)
             two_step = x - alpha * s
-        for got, want in zip(fused, arrays(two_step)):
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(state.view(np.uint64), flat(two_step).view(np.uint64))
 
     @pytest.mark.parametrize("kind", VECTOR_KINDS)
     def test_unary_minus_is_numpy_negative_bit_for_bit(self, kind):

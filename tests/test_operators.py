@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,38 @@ class TestNormBound:
             bound = jop.derivative_norm_bound(point)
             sigma = np.linalg.svd(deriv_matrix(jop, point), compute_uv=False)[0]
             assert np.isfinite(bound) and 0 < sigma <= bound
+
+
+    def test_column_norms_are_computed_once_per_model_with_the_same_bound(self, monkeypatch, default_instance):
+        """The bound reads the model's cached colnorm(B): its bits are those of
+        recomputing ``np.linalg.norm(B, axis=0)`` on each call, which now runs once."""
+        rng = np.random.default_rng(53)
+        source = default_instance.model
+        model = mk.SensitivityModel(source.basis, source.coefficients)
+        ops = [mk.JointForward(model, default_instance.mask, i) for i in range(model.r_num)]
+        points = [random_joint(rng, model.grid, *model.coefficients.shape) for _ in range(3)]
+        colnorms = np.linalg.norm(model.basis_matrix, axis=0)
+        want = [
+            op._transform_bound
+            * math.hypot(
+                float(np.abs(op._sensitivity(x.coefficients)).max()),
+                grid.array_norm(x.image.values * colnorms),
+            )
+            for op in ops
+            for x in points
+        ]
+        norm, calls = np.linalg.norm, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        got = [op.derivative_norm_bound(x) for op in ops for x in points]
+        assert calls == [{"axis": 0}]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert not model.column_norms.flags.writeable
+        assert model.column_norms.tobytes() == colnorms.tobytes()
 
 
 class TestRescale:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -422,7 +424,8 @@ def problem_arrays(problem):
 
 @pytest.mark.parametrize("kind", ["linear", "joint", "llk-scaled"])
 def test_runs_share_no_memory_and_leave_the_problem_unchanged(instance8, kind):
-    """No working array of a run escapes into its result, the start point or the problem."""
+    """No working array of a run escapes into its result, the start point or the problem,
+    and a joint result's image and coefficients, cut from one state array, do not overlap."""
     grid = instance8.spec.grid
     rng = np.random.default_rng(8)
     x0 = random_image(rng, grid)
@@ -449,13 +452,47 @@ def test_runs_share_no_memory_and_leave_the_problem_unchanged(instance8, kind):
         assert a.tobytes() == b.tobytes()
     inputs = problem_arrays(problem) + value_arrays(x0) + [coeff0]
     trace_arrays = [first.trace.omegas, first.trace.alphas, first.trace.residuals]
-    for out in value_arrays(first.final):
+    outs = value_arrays(first.final)
+    for j, out in enumerate(outs):
         assert not out.flags.writeable
         assert not any(np.shares_memory(out, a) for a in inputs + trace_arrays)
         assert not any(np.shares_memory(out, a) for a in value_arrays(second.final))
+        assert not any(np.shares_memory(out, a) for a in outs[j + 1:])
     np.testing.assert_array_equal(first.trace.residuals, second.trace.residuals)
     for a, b in zip(value_arrays(first.final), value_arrays(second.final)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, entry, value",
+    [("linear", 5, np.inf), ("joint", 5, np.nan), ("joint", 64 + 3, complex(-np.inf, 0.0))],
+    ids=["linear-image-inf", "joint-image-nan", "joint-coefficient-inf"],
+)
+def test_non_finite_iterate_names_its_step_without_a_warning(monkeypatch, instance8, kind, entry, value):
+    """An update that leaves a non-finite entry anywhere in the iterate, whose flat
+    state holds the image and then the coefficients, ends the run with a named
+    failure and the partial trace; the check itself raises no floating-point warning."""
+    update, alphas = mk.solvers._update, []
+
+    def poisoned(state, direction, scratch, alpha):
+        update(state, direction, scratch, alpha)
+        alphas.append(alpha)
+        if len(alphas) == 3:
+            state[entry] = value
+
+    monkeypatch.setattr(mk.solvers, "_update", poisoned)
+    run, problem = (
+        (mk.run_joint, instance8.joint_problem()) if kind == "joint" else (mk.run_linear, instance8.linear_problem())
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure) as exc_info:
+            run(problem, mk.SolverConfig(max_cycles=5))
+    trace = exc_info.value.trace
+    k = trace.n_steps - 1
+    assert str(exc_info.value) == f"non-finite iterate at step {k} (receiver {k % trace.r_num})"
+    assert trace.omegas[-1] == 1 and int(trace.omegas.sum()) == 3
+    np.testing.assert_array_equal(trace.alphas[trace.omegas == 1], alphas)
 
 
 @pytest.mark.parametrize(
