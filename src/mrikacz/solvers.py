@@ -205,10 +205,8 @@ def _iterate(x, problem, config, reference, metadata):
     d_views = [direction[b].view(np.float64) for b in blocks]
     if reference is not None:
         references = [reference.image.values, reference.coefficients] if joint else [reference.values]
-        errors = [
-            (state[b], ref.reshape(-1), scratch[b], scratch[b].view(np.float64))
-            for b, ref in zip(blocks, references)
-        ]
+        differences = [(state[b], ref.reshape(-1), scratch[b]) for b, ref in zip(blocks, references)]
+        difference_views = [scratch[b].view(np.float64) for b in blocks]
     state_f64 = state.view(np.float64)
     zero = np.broadcast_to(0.0, state_f64.shape)  # 0 * v is nan exactly where v is inf or nan
     pixels, spectrum, back = (np.empty_like(image) for _ in range(3))
@@ -261,9 +259,9 @@ def _iterate(x, problem, config, reference, metadata):
             omega = loping_weight(rnorm, tau, delta)
             error = None
             if reference is not None:
-                for block, ref, tmp, _ in errors:
+                for block, ref, tmp in differences:
                     np.subtract(block, ref, out=tmp)
-                error = _view_norm(*(tmp_f64 for _, _, _, tmp_f64 in errors))
+                error = _view_norm(*difference_views)
             alpha = 1.0
             if omega:
                 cycle_any_active = True
