@@ -225,8 +225,9 @@ class JointForward(_ReceiverOperator):
         P * (dc_i @ B); by Cauchy-Schwarz the second has norm at most
         b * ||dc_i|| with b = ||P * colnorm(B)||_2, where P is x's image and
         colnorm(B)_k the norm of the basis values at pixel k (the model's
-        :attr:`~mrikacz.grid.SensitivityModel.column_norms`, computed once).  At a zero image
-        b = 0, and the bound is the linear operator's :attr:`~LinearForward.norm_bound`.
+        :attr:`~mrikacz.grid.SensitivityModel.column_norms`, computed once).
+        At a zero image b = 0, and the bound is the linear operator's
+        :attr:`~LinearForward.norm_bound`.
         """
         self._check_point(x)
         s_max = float(np.abs(self._sensitivity(x.coefficients)).max())

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from . import operators
+from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from .grid import ComplexImage, JointParameter, _einsum, _fresh, _view_norm
 from .operators import JointForward, LinearForward, Problem
 

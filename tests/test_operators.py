@@ -340,7 +340,6 @@ class TestNormBound:
             sigma = np.linalg.svd(deriv_matrix(jop, point), compute_uv=False)[0]
             assert np.isfinite(bound) and 0 < sigma <= bound
 
-
     def test_column_norms_are_computed_once_per_model_with_the_same_bound(self, monkeypatch, default_instance):
         """The bound reads the model's cached colnorm(B): its bits are those of
         recomputing ``np.linalg.norm(B, axis=0)`` on each call, which now runs once."""
