@@ -120,10 +120,7 @@ def cmd_reconstruct(args) -> int:
     cfg.update((name, value) for name, value in overrides.items() if value is not None)
     joint = cfg.get("joint", False)
     if joint and cfg.get("method") == METHOD_LLK:
-        raise ConfigurationError(
-            "joint llk is not supported: reconstruct does not rescale joint operators, "
-            "and llk needs every derivative norm bound <= 1; use method 'lsdk'"
-        )
+        raise ConfigurationError("joint runs take method 'lsdk' only: llk is a linear method")
 
     instance = io.load_instance(cfg["instance"])
     initial = None

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -168,9 +167,12 @@ class KSpaceMask:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1).copy()
+        idx = np.asarray(self.indices)
         if idx.size < 1:
             raise ValueError("mask must contain at least one index")
+        if not np.issubdtype(idx.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"mask indices must be integers, got dtype {idx.dtype}")
+        idx = idx.reshape(-1).astype(np.int64)
         if idx[0] < 0 or idx[-1] >= self.shape.p_num or np.any(np.diff(idx) <= 0):
             raise ValueError(
                 "mask indices must be strictly increasing within "
@@ -300,13 +302,6 @@ class SensitivityModel:
     @property
     def r_num(self) -> int:
         return int(self.coefficients.shape[0])
-
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        """colnorm(B)_k, the norm of the basis values at pixel k; computed once, read-only."""
-        norms = np.linalg.norm(self.basis_matrix, axis=0)
-        norms.flags.writeable = False
-        return norms
 
     def materialize(self, receiver: int) -> ComplexImage:
         """Sum the basis with receiver ``receiver``'s coefficients."""

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid
-from .errors import DimensionMismatch
+from .errors import ConfigurationError, DimensionMismatch
 from .grid import (
     ComplexImage,
     JointParameter,
@@ -149,17 +149,11 @@ class LinearForward(_ReceiverOperator):
         """Closed-form upper bound |scale| * sqrt(p_num) * max|S_i| on the spectral norm."""
         return self._transform_bound * float(np.abs(self.sensitivity.values).max())
 
-    # A linear map is its own derivative at every point, so the cone probe and
-    # the llk check call these exactly as they call ``JointForward``'s.
+    # A linear map is its own derivative at every point, so the cone probe
+    # calls this exactly as it calls ``JointForward.derivative``.
 
     def derivative(self, x: ComplexImage, dx: ComplexImage) -> MeasurementVector:
         return self.apply(dx)
-
-    def adjoint_derivative(self, x: ComplexImage, data: MeasurementVector) -> ComplexImage:
-        return self.adjoint(data)
-
-    def derivative_norm_bound(self, x: ComplexImage) -> float:
-        return self.norm_bound
 
 
 class JointForward(_ReceiverOperator):
@@ -174,9 +168,9 @@ class JointForward(_ReceiverOperator):
                 f"the model's {self.model.coefficients.shape}"
             )
 
-    def _sensitivity(self, coefficients: np.ndarray, out=None) -> np.ndarray:
+    def _sensitivity(self, coefficients: np.ndarray) -> np.ndarray:
         """This receiver's sensitivity for a coefficient block, as a flat pixel array."""
-        return combine_basis(self.model.basis_matrix, coefficients[self.receiver], out=out)
+        return combine_basis(self.model.basis_matrix, coefficients[self.receiver])
 
     def _coefficient_forward(self, image, row, scratch, pixels) -> np.ndarray:
         """``pixels`` += image * (row @ B): the derivative's term in the receiver's coefficients."""
@@ -224,14 +218,13 @@ class JointForward(_ReceiverOperator):
         The product rule splits the derivative into dP * S_i(x) and
         P * (dc_i @ B); by Cauchy-Schwarz the second has norm at most
         b * ||dc_i|| with b = ||P * colnorm(B)||_2, where P is x's image and
-        colnorm(B)_k the norm of the basis values at pixel k (the model's
-        :attr:`~mrikacz.grid.SensitivityModel.column_norms`, computed once).
-        At a zero image b = 0, and the bound is the linear operator's
+        colnorm(B)_k the norm of the basis values at pixel k.  At a zero
+        image b = 0, and the bound is the linear operator's
         :attr:`~LinearForward.norm_bound`.
         """
         self._check_point(x)
         s_max = float(np.abs(self._sensitivity(x.coefficients)).max())
-        b = array_norm(x.image.values * self.model.column_norms)
+        b = array_norm(x.image.values * np.linalg.norm(self.model.basis_matrix, axis=0))
         return self._transform_bound * math.hypot(s_max, b)
 
 
@@ -290,6 +283,15 @@ class ScalingReport:
         }
 
 
+def _check_family(ops, family: type, user: str):
+    """Every operator in ``ops`` is a ``family`` operator, or ``user`` cannot take them."""
+    for i, op in enumerate(ops):
+        if not isinstance(op, family):
+            raise ConfigurationError(
+                f"{user} needs {family.__name__} operators; receiver {i} has {type(op).__name__}"
+            )
+
+
 def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
     """Scale every operator so its norm bound, and hence its norm, is below 1.
 
@@ -298,9 +300,11 @@ def rescale_to_unit(ops) -> tuple[tuple[LinearForward, ...], ScalingReport]:
     :func:`rescale_problem` to do the whole instance atomically.  Both
     norms are each operator's own :attr:`LinearForward.norm_bound`, the
     value the llk check reads; the (1 + 1e-9) margin keeps rounding from
-    pushing a rescaled bound above 1.
+    pushing a rescaled bound above 1.  Operators other than
+    :class:`LinearForward` are a :class:`ConfigurationError`.
     """
     ops = tuple(ops)
+    _check_family(ops, LinearForward, "rescaling")
     pre = np.array([op.norm_bound for op in ops])
     scales = np.ones(len(ops))
     zero = []

@@ -7,14 +7,16 @@ The update
 
 uses the adjoint residual direction s_k; omega_k lopes (skips) the step
 whenever the residual is already within tau * delta of the noise level.
-``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz) and needs every
-||F_i'(x_0)|| <= 1; ``method="lsdk"`` uses the steepest-descent step
+``method="llk"`` fixes alpha_k = 1 (Landweber-Kaczmarz) and is a linear
+method: it needs every operator norm ||A_i|| <= 1, which ``run_linear``
+checks on the closed-form norm bounds, and ``run_joint`` refuses it.
+``method="lsdk"`` uses the steepest-descent step
 ||s_k||^2 / ||F_i'(x_k) s_k||^2.  The linear and joint runs share one loop;
-a linear operator is its own derivative.  The loop checks the start point,
-the reference and the problem once, then runs on bare arrays.  The iterate,
-the direction and the scratch are each one flat array per run (the image,
-then a joint run's coefficients), so an update is two ufunc calls and the
-non-finite check one sum.  Each receiver's arguments (data, noise level,
+a linear operator is its own derivative.  The runs check the start point,
+the reference and the problem once; the loop then runs on bare arrays.  The
+iterate, the direction and the scratch are each one flat array per run (the
+image, then a joint run's coefficients), so an update is two ufunc calls and
+the non-finite check one sum.  Each receiver's arguments (data, noise level,
 sensitivity or coefficient rows) are bound once per run; a step calls the
 operators' private kernels, evaluates a joint step's sensitivity S_i(x)
 once, and the result's blocks are views of the final state.
@@ -34,7 +36,7 @@ import numpy as np
 from . import operators
 from .errors import ConfigurationError, NumericalFailure, SingularStepError
 from .grid import ComplexImage, JointParameter, _einsum, _fresh, _view_norm
-from .operators import JointForward, LinearForward, Problem
+from .operators import JointForward, LinearForward, Problem, _check_family
 
 METHOD_LLK = "llk"
 METHOD_LSDK = "lsdk"
@@ -160,15 +162,12 @@ class _Recorder:
         )
 
 
-def _check_llk_bounds(problem: Problem, x0):
-    """llk's unit-norm hypothesis: every receiver's derivative bound at ``x0`` is <= 1."""
-    for i, op in enumerate(problem.operators):
-        bound = op.derivative_norm_bound(x0)
-        if bound > 1.0:
-            raise ConfigurationError(
-                f"llk requires derivative norm <= 1 at the initial guess; "
-                f"receiver {i} has derivative norm bound {bound:.6g}"
-            )
+def _check_start(problem: Problem, x, reference):
+    """The start point and the reference must lie in the operators' domain."""
+    for op in problem.operators:
+        op._check_point(x)
+    if reference is not None:
+        x._check_layout(reference)
 
 
 def _update(state, direction, scratch, alpha):
@@ -178,12 +177,6 @@ def _update(state, direction, scratch, alpha):
 
 def _iterate(x, problem, config, reference, metadata):
     ops, measurements = problem.operators, problem.measurements
-    for op in ops:
-        op._check_point(x)
-    if reference is not None:
-        x._check_layout(reference)
-    if config.method == METHOD_LLK:
-        _check_llk_bounds(problem, x)
     r_num = measurements.r_num
     deltas = measurements.deltas.tolist()
     all_exact = all(d == 0.0 for d in deltas)
@@ -306,47 +299,47 @@ def _iterate(x, problem, config, reference, metadata):
     return SolveResult(final=final, trace=rec.build(k_star), reason=reason, metadata=metadata)
 
 
-def _check_family(problem: Problem, family: type, run: str):
-    for i, op in enumerate(problem.operators):
-        if not isinstance(op, family):
-            raise ConfigurationError(
-                f"{run} needs {family.__name__} operators; receiver {i} has {type(op).__name__}"
-            )
-
-
 def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
     """Reconstruct the image with known sensitivities.
 
     For ``method="llk"`` every operator's closed-form
-    :attr:`~mrikacz.operators.LinearForward.norm_bound`, which is its
-    derivative norm bound at every point, must be <= 1, so the unit-norm
-    hypothesis holds (see :func:`mrikacz.operators.rescale_problem`);
+    :attr:`~mrikacz.operators.LinearForward.norm_bound` must be <= 1, so the
+    unit-norm hypothesis holds (see :func:`mrikacz.operators.rescale_problem`);
     unscaled operators are rejected.  ``reference`` optionally supplies a known
     solution whose distance to the iterate is recorded in the trace.
     """
-    _check_family(problem, LinearForward, "run_linear")
+    _check_family(problem.operators, LinearForward, "run_linear")
+    if config.initial_coefficients is not None:
+        raise ConfigurationError("a linear run takes no initial_coefficients")
     x0 = config.initial_image
     if x0 is None:
         x0 = ComplexImage.zero(problem.operators[0].model.grid)
     if reference is not None and not isinstance(reference, ComplexImage):
         raise ConfigurationError("reference for a linear run must be a ComplexImage")
+    _check_start(problem, x0, reference)
+    if config.method == METHOD_LLK:
+        for i, op in enumerate(problem.operators):
+            if op.norm_bound > 1.0:
+                raise ConfigurationError(
+                    f"llk requires every operator norm bound <= 1; "
+                    f"receiver {i} has norm bound {op.norm_bound:.6g}"
+                )
     metadata = {"method": config.method, "tau": config.tau, "space": "image"}
     return _iterate(x0, problem, config, reference, metadata)
 
 
 def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
-    """Jointly update image and sensitivity coefficients.
+    """Jointly update image and sensitivity coefficients with lsdk.
 
     Same loping and stopping mechanics as the linear run, with the adjoint
     of the derivative supplying the direction.  The bilinear forward map
     violates the tangential-cone bound, so no convergence guarantee is
-    attached; the result metadata says so.  For ``method="llk"`` the
-    closed-form bound :meth:`~mrikacz.operators.JointForward.derivative_norm_bound`
-    on the derivative norm at the initial guess must not exceed 1 (the
-    closest analog of the unit-norm hypothesis that is definable for a
-    nonlinear map).
+    attached; the result metadata says so.  llk is a linear method and is
+    refused with a :class:`~mrikacz.errors.ConfigurationError`.
     """
-    _check_family(problem, JointForward, "run_joint")
+    if config.method == METHOD_LLK:
+        raise ConfigurationError("llk is a linear method; run_joint takes method 'lsdk' only")
+    _check_family(problem.operators, JointForward, "run_joint")
     model = problem.operators[0].model
     image0 = config.initial_image
     if image0 is None:
@@ -358,6 +351,7 @@ def run_joint(problem: Problem, config: SolverConfig = SolverConfig(), reference
     x0 = JointParameter(image0, coeff0)
     if reference is not None and not isinstance(reference, JointParameter):
         raise ConfigurationError("reference for a joint run must be a JointParameter")
+    _check_start(problem, x0, reference)
     metadata = {
         "method": config.method,
         "tau": config.tau,

@@ -74,6 +74,22 @@ class TestComplexImage:
             image([1, 2]) + image([1, 2], p_hor=1, p_ver=2)
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0.5, 1.7, 3.9], "mask indices must be integers, got dtype float64"),
+        ([0.0, 1.0], "mask indices must be integers, got dtype float64"),
+        ([True, False, True], "mask indices must be integers, got dtype bool"),
+        ([], "mask must contain at least one index"),
+        ([1, 0], r"mask indices must be strictly increasing within \[0, 3\]"),
+    ],
+    ids=["fractional", "integral-floats", "bool", "empty", "unordered"],
+)
+def test_mask_rejects_bad_indices(indices, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mk.KSpaceMask(mk.GridShape(2, 2), indices)
+
+
 VECTOR_KINDS = ("image", "measurement", "joint")
 
 

@@ -750,10 +750,10 @@ class TestReconstructCommand:
         assert summary["final_residuals"] == sweep
 
     def test_unscaled_joint_llk_is_config_error(self, tmp_path, generated, capsys):
-        # The CLI rescales only linear problems, so joint llk is refused before any work.
+        # llk is a linear method, so joint llk is refused before any work.
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         assert main(["reconstruct", "--config", str(run), "--joint", "--method", "llk"]) == 2
-        assert "reconstruct does not rescale joint operators" in capsys.readouterr().err
+        assert "joint runs take method 'lsdk' only" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
 

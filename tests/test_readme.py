@@ -1,11 +1,14 @@
-"""The README's field lists name exactly the fields the code defines."""
+"""The README's field lists and quoted messages match what the code defines."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import mrikacz as mk
 from mrikacz import cli, io
+from mrikacz.errors import ConfigurationError
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -41,3 +44,14 @@ def test_json_integers_match_the_field_kinds():
 
 def test_json_numbers_match_the_field_kinds():
     assert listed(r"Numbers:(.*?)\.") == json_fields(io.NUMBER, io.NUMBERS)
+
+
+def test_llk_message_is_the_one_run_linear_raises():
+    quoted = re.search(r"`(llk requires [^`]*)`", README)
+    assert quoted
+    pattern = re.escape(" ".join(quoted.group(1).split()))
+    pattern = pattern.replace("<i>", r"\d+").replace("<b>", r"[0-9.e+-]+")
+    problem = mk.synthesize(mk.InstanceSpec(p_hor=4, p_ver=4, seed=1)).linear_problem()
+    with pytest.raises(ConfigurationError) as exc_info:
+        mk.run_linear(problem, mk.SolverConfig(method="llk"))
+    assert re.fullmatch(pattern, str(exc_info.value))

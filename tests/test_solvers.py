@@ -277,31 +277,28 @@ class TestRunJoint:
         assert result.metadata["guarantee"] == "experimental: no convergence guarantee"
         assert "direct sum" in result.metadata["joint_norm"]
 
-    def test_llk_rejects_large_initial_derivative_norm(self):
-        problem, truth = frozen_image_joint_problem()
-        config = mk.SolverConfig(
-            method="llk", initial_image=truth.image, initial_coefficients=truth.coefficients
-        )
-        # S = 1 and b = ||P * colnorm(B)|| = 2, so the bound is sqrt(4) * hypot(1, 2).
-        with pytest.raises(ConfigurationError, match="receiver 0 has derivative norm bound 4.47214"):
-            mk.run_joint(problem, config)
-
-    def test_llk_accepts_operators_scaled_by_their_bound(self):
+    @pytest.mark.parametrize("prescaled", [False, True], ids=["default-start", "scaled-by-the-x0-bound"])
+    def test_llk_is_refused(self, monkeypatch, prescaled):
+        """llk is a linear method: run_joint refuses it before any transform, also on
+        operators scaled by their derivative bound at the start, whose bound grows along a run."""
         instance = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, deltas=0.05, seed=21))
         problem = instance.joint_problem()
-        coeff0 = np.zeros((problem.r_num, 2))
-        coeff0[:, 0] = 1.0
-        x0 = mk.JointParameter(mk.ComplexImage.zero(instance.spec.grid), coeff0)
-        scales = [1.0 / (op.derivative_norm_bound(x0) * (1 + 1e-9)) for op in problem.operators]
-        ops = tuple(op.with_scale(c) for op, c in zip(problem.operators, scales))
-        scaled = mk.Problem(ops, problem.measurements.scaled(scales))
-        assert all(op.derivative_norm_bound(x0) <= 1.0 for op in ops)
-        result = mk.run_joint(scaled, mk.SolverConfig(method="llk", max_cycles=20))
-        final = max(
-            mk.norm(op.apply(result.final) - scaled.measurements.vectors[i])
-            for i, op in enumerate(ops)
-        )
-        assert final < result.metadata["initial_max_residual"]
+        if prescaled:
+            coeff0 = np.zeros((problem.r_num, 2))
+            coeff0[:, 0] = 1.0
+            x0 = mk.JointParameter(mk.ComplexImage.zero(instance.spec.grid), coeff0)
+            scales = [1.0 / (op.derivative_norm_bound(x0) * (1 + 1e-9)) for op in problem.operators]
+            ops = tuple(op.with_scale(c) for op, c in zip(problem.operators, scales))
+            problem = mk.Problem(ops, problem.measurements.scaled(scales))
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        for name in ("forward_values", "adjoint_values"):
+            monkeypatch.setattr(mk.DftPlan, name, no_transform)
+        message = "^llk is a linear method; run_joint takes method 'lsdk' only$"
+        with pytest.raises(ConfigurationError, match=message):
+            mk.run_joint(problem, mk.SolverConfig(method="llk"))
 
     def test_generic_instance_reduces_residual(self):
         spec = mk.InstanceSpec(
@@ -353,7 +350,7 @@ GRID_MISMATCH = r"grid mismatch: GridShape\(p_hor=8, p_ver=8\) vs GridShape\(p_h
 class TestStartPointChecks:
     """The start point and the reference are checked once, before the first step."""
 
-    @pytest.mark.parametrize("method", ["lsdk", "llk"])
+    @pytest.mark.parametrize("method", ["lsdk"])
     @pytest.mark.parametrize(
         "coefficients, message",
         [
@@ -367,6 +364,11 @@ class TestStartPointChecks:
         config = mk.SolverConfig(method=method, initial_coefficients=coefficients)
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             mk.run_joint(instance8.joint_problem(), config)
+
+    def test_linear_run_takes_no_start_coefficients(self, instance8):
+        config = mk.SolverConfig(initial_coefficients=np.ones((9, 9)))
+        with pytest.raises(ConfigurationError, match="^a linear run takes no initial_coefficients$"):
+            mk.run_linear(instance8.linear_problem(), config)
 
     def test_linear_start_image_on_another_grid(self, instance8):
         config = mk.SolverConfig(initial_image=mk.ComplexImage.zero(OTHER_GRID))
@@ -497,8 +499,12 @@ def test_non_finite_iterate_names_its_step_without_a_warning(monkeypatch, instan
 
 @pytest.mark.parametrize(
     "run, build, expected",
-    [(mk.run_linear, "joint_problem", "LinearForward"), (mk.run_joint, "linear_problem", "JointForward")],
-    ids=["linear-run-given-joint-operators", "joint-run-given-linear-operators"],
+    [
+        (mk.run_linear, "joint_problem", "LinearForward"),
+        (mk.run_joint, "linear_problem", "JointForward"),
+        (mk.rescale_problem, "joint_problem", "LinearForward"),
+    ],
+    ids=["linear-run-given-joint-operators", "joint-run-given-linear-operators", "rescaling-joint-operators"],
 )
 def test_run_rejects_the_other_operator_family(default_instance, run, build, expected):
     with pytest.raises(ConfigurationError, match=f"needs {expected} operators; receiver 0"):
