@@ -31,7 +31,6 @@ for method in ("llk", "lsdk"):
     print(f"  monotone decay: {bool(np.all(np.diff(errs) <= 1e-12 * errs[0]))}")
     skipped = int((trace.omegas == 0).sum())
     print(f"  loped steps: {skipped} of {trace.n_steps}")
-    for i, op in enumerate(problem.operators):
-        resid = mk.norm(op.apply(result.final) - problem.measurements.vectors[i])
-        bound = 2.1 * problem.measurements.deltas[i]
-        print(f"  receiver {i}: final residual {resid:.4f} <= tau*delta {bound:.4f}")
+    for i, (resid, bound) in enumerate(zip(result.final_residuals, result.tau_delta_bounds)):
+        print(f"  receiver {i}: final residual {resid:.4f}, tau*delta {bound:.4f}")
+    print(f"  every residual within its bound: {result.discrepancy_ok}")

@@ -31,12 +31,10 @@ print("  final coefficients:", np.round(result.final.coefficients.ravel(), 5))
 instance = mk.synthesize(mk.InstanceSpec(p_hor=16, p_ver=16, deltas=0.01, seed=7))
 problem = instance.joint_problem()
 result = mk.run_joint(problem, mk.SolverConfig(method="lsdk", max_cycles=300))
-final = max(
-    mk.norm(op.apply(result.final) - instance.measurements.vectors[i])
-    for i, op in enumerate(problem.operators)
-)
+final = max(result.final_residuals)
 initial = result.metadata["initial_max_residual"]
 print(f"\n16x16 scene: {result.reason} after {result.trace.n_cycles} cycles")
 print(f"  max residual: {initial:.3f} -> {final:.3f} ({final / initial:.1%} of start)")
+print(f"  max tau*delta bound: {max(result.tau_delta_bounds):.3f}, all within: {result.discrepancy_ok}")
 print("  (no claim about distance to the true image: the scaling ambiguity")
 print("   c * image, coefficients / c leaves every residual unchanged)")

@@ -9,14 +9,13 @@ and ``probe-cone`` (sample tangential-cone ratios).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import io
 from .errors import ConfigurationError, FileFormatError, NumericalFailure
-from .grid import norm
+from .grid import norm  # unused here; perfbench/tracer.py patches mrikacz.cli.norm (ROADMAP item 8)
 from .operators import ScalarProductModel, cone_probe, rescale_problem
 from .phantoms import synthesize
 from .solvers import METHOD_LLK, METHOD_LSDK, SolverConfig, run_joint, run_linear
@@ -63,49 +62,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _last_finite_residuals(trace) -> list:
-    """Each receiver's last finite residual in ``trace``, or None if it has none."""
-    last = [None] * trace.r_num
-    for i, residual in zip(trace.receivers.tolist(), trace.residuals.tolist()):
-        if math.isfinite(residual):
-            last[i] = residual
-    return last
-
-
 def _write_failure(out, exc):
     """Write the partial trace and a summary of how far the run got before ``exc``."""
-    trace = exc.trace
+    trace = exc.trace  # every failure of run_linear and run_joint carries one
+    io.write_trace_csv(out / "trace.csv", trace)
     summary = {
         "failure": str(exc),
         "termination_reason": "numerical-failure",
-        "n_steps": None,
-        "n_cycles": None,
-        "last_finite_residuals": None,
+        "n_steps": trace.n_steps,
+        "n_cycles": trace.n_cycles,
+        "last_finite_residuals": trace.last_residuals,
     }
-    if trace is not None:
-        io.write_trace_csv(out / "trace.csv", trace)
-        summary.update(
-            n_steps=trace.n_steps,
-            n_cycles=trace.n_cycles,
-            last_finite_residuals=_last_finite_residuals(trace),
-        )
     io.write_json(out / "summary.json", summary)
-
-
-def _final_residuals(problem, result) -> list:
-    """Each receiver's residual norm at the final iterate.
-
-    When every step of the last cycle loped, that cycle left the iterate as
-    it was, so its trace residuals are these norms bit for bit; otherwise
-    they cost one forward transform per receiver.
-    """
-    r_num = result.trace.r_num
-    if not result.trace.omegas[-r_num:].any():
-        return result.trace.residuals[-r_num:].tolist()
-    return [
-        norm(op.apply(result.final) - y)
-        for op, y in zip(problem.operators, problem.measurements.vectors)
-    ]
 
 
 def cmd_reconstruct(args) -> int:
@@ -148,8 +116,6 @@ def cmd_reconstruct(args) -> int:
         _write_failure(out, exc)
         raise
 
-    final_residuals = _final_residuals(problem, result)
-    bounds = [solver_cfg.tau * float(d) for d in problem.measurements.deltas]
     summary = {
         "instance": str(cfg["instance"]),
         "method": solver_cfg.method,
@@ -162,9 +128,9 @@ def cmd_reconstruct(args) -> int:
         "n_cycles": result.trace.n_cycles,
         "n_steps": result.trace.n_steps,
         "deltas": [float(d) for d in problem.measurements.deltas],
-        "final_residuals": final_residuals,
-        "tau_delta_bounds": bounds,
-        "discrepancy_ok": all(r <= b for r, b in zip(final_residuals, bounds)),
+        "final_residuals": result.final_residuals,
+        "tau_delta_bounds": result.tau_delta_bounds,
+        "discrepancy_ok": result.discrepancy_ok,
         "metadata": result.metadata,
         "scaling": None if scaling is None else scaling.as_dict(),
     }

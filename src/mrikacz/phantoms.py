@@ -305,8 +305,8 @@ def synthesize(spec: InstanceSpec) -> Instance:
     coeff = rng.standard_normal((spec.r_num, spec.b_num)) + 1j * rng.standard_normal(
         (spec.r_num, spec.b_num)
     )
-    # Unit coefficient rows pin the bilinear scaling ambiguity
-    # (c * image, coeff / c) of the joint problem.
+    # Unit coefficient rows normalise the true coefficients; a joint iterate still moves
+    # freely along the orbit (t * image, coeff / t), which leaves every residual unchanged.
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
     model = SensitivityModel(make_basis(spec.basis_family, spec.b_num, shape), coeff)
 

@@ -22,14 +22,16 @@ operators' private kernels, evaluates a joint step's sensitivity S_i(x)
 once, and the result's blocks are views of the final state.
 The run stops at the first cycle whose steps all loped, at a cycle cap, or
 (for exact data, where loping never triggers) once the residual has dropped
-by the fixed factor ``EXACT_DATA_RTOL``.
+by the fixed factor ``EXACT_DATA_RTOL``.  The result carries the verdict: the
+final residuals (a stop by the rule reads them from the trace, any other stop
+makes one more sweep), their bounds tau * delta_i and ``discrepancy_ok``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,6 +83,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in (METHOD_LLK, METHOD_LSDK):
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ConfigurationError(f"tau must be a real number, got {self.tau!r}")
         try:
             finite = math.isfinite(self.tau)
         except OverflowError:  # an int too large for a float
@@ -129,13 +133,27 @@ class IterationTrace:
     def n_cycles(self) -> int:
         return self.n_steps // self.r_num
 
+    @property
+    def last_residuals(self) -> list:
+        """Each receiver's last residual, or None if it has none (a partial trace)."""
+        last = [None] * self.r_num
+        for k in range(max(self.n_steps - self.r_num, 0), self.n_steps):
+            last[k % self.r_num] = float(self.residuals[k])
+        return last
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """The final iterate, its trace and the run's verdict: each receiver's final residual
+    ||F_i(x) - y_i||, its bound tau * delta_i, and whether every residual is within its bound."""
+
     final: ComplexImage | JointParameter
     trace: IterationTrace
     reason: str
-    metadata: dict = field(default_factory=dict)
+    final_residuals: list
+    tau_delta_bounds: list
+    discrepancy_ok: bool
+    metadata: dict
 
 
 class _Recorder:
@@ -232,7 +250,11 @@ def _iterate(x, problem, config, reference, metadata):
         np.subtract(residual, y, out=residual)
         return _view_norm(residual_f64)
 
-    initial_max_residual = max(residual_norm(op, y, s, b, r) for op, y, _, s, b, r, _ in receivers)
+    def sweep():
+        """Each receiver's residual norm at the current iterate."""
+        return [residual_norm(op, y, s, b, r) for op, y, _, s, b, r, _ in receivers]
+
+    initial_max_residual = max(sweep())
     metadata = dict(metadata, initial_max_residual=initial_max_residual)
 
     k = 0
@@ -291,12 +313,18 @@ def _iterate(x, problem, config, reference, metadata):
         if all_exact and cycle_max_residual <= EXACT_DATA_RTOL * initial_max_residual:
             reason = EXACT_DATA_TOLERANCE
             break
+    trace = rec.build(k_star)
+    # A stop by the rule ends on a cycle whose steps all loped, which left the iterate
+    # as it was: its trace residuals are the final ones.
+    final_residuals = trace.last_residuals if reason == STOPPING_RULE else sweep()
+    bounds = [tau * d for d in deltas]
     # Nothing writes to the state once the run is over: the result's blocks are views of it.
     state.flags.writeable = False
     final = _fresh(ComplexImage, x.image.shape if joint else x.shape, image)
     if joint:
         final = _fresh(JointParameter, final, rows)
-    return SolveResult(final=final, trace=rec.build(k_star), reason=reason, metadata=metadata)
+    ok = all(r <= b for r, b in zip(final_residuals, bounds))
+    return SolveResult(final, trace, reason, final_residuals, bounds, ok, metadata)
 
 
 def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), reference=None) -> SolveResult:
@@ -314,6 +342,8 @@ def run_linear(problem: Problem, config: SolverConfig = SolverConfig(), referenc
     x0 = config.initial_image
     if x0 is None:
         x0 = ComplexImage.zero(problem.operators[0].model.grid)
+    if not isinstance(x0, ComplexImage):
+        raise ConfigurationError("initial_image for a linear run must be a ComplexImage")
     if reference is not None and not isinstance(reference, ComplexImage):
         raise ConfigurationError("reference for a linear run must be a ComplexImage")
     _check_start(problem, x0, reference)

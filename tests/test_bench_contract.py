@@ -63,7 +63,9 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, 
     Per step: one residual (one forward transform).  Per active step: one
     direction (one adjoint transform) and, for lsdk, the step-size map
     applied to it (one forward transform).  Before the first step: one
-    residual per receiver.  The loop checks the start point once and then
+    residual per receiver, and after the last one, unless the run stopped by
+    the rule (whose final residuals are its last cycle's), one more: the joint
+    run stops at its cycle cap.  The loop checks the start point once and then
     calls the operators' private kernels and sums its norms with
     ``grid.array_norm``, so no public operator method, ``grid.norm`` or mask
     check runs inside a solve: a traced run counts the operator layer's time
@@ -84,7 +86,9 @@ def test_traced_counts_follow_the_step_formulas(tracer, small_instance, method, 
     n_active = int(result.trace.omegas.sum())
     n_maps = n_active if method == "lsdk" else 0
     assert 0 < n_active < n_steps
-    assert spans["transform.forward"] == r_num + n_steps + n_maps
+    assert (result.reason == mk.CYCLE_CAP) == joint
+    n_final = 0 if result.reason == mk.STOPPING_RULE else r_num
+    assert spans["transform.forward"] == r_num + n_steps + n_maps + n_final
     assert spans["transform.adjoint"] == n_active
     assert counts.get("grid.norm", 0) == 0
     assert spans["grid.mask_matches"] == 0

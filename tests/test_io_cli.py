@@ -528,6 +528,27 @@ class TestReconstructCommand:
         assert (tmp_path / "rec" / "result.csv").exists()
         assert (tmp_path / "rec" / "result_magnitude.pgm").exists()
 
+    @pytest.mark.parametrize(
+        "method, joint", [("lsdk", False), ("llk", False), ("lsdk", True)], ids=["lsdk", "llk", "joint-cap"]
+    )
+    def test_summary_verdict_is_the_library_result(self, tmp_path, generated, method, joint):
+        run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", method=method)
+        flags = ["--joint", "--max-cycles", "5"] if joint else []
+        assert main(["reconstruct", "--config", str(run), *flags]) == 0
+        summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
+        instance = io.load_instance(generated)
+        if joint:
+            result = mk.run_joint(instance.joint_problem(), mk.SolverConfig(method=method, max_cycles=5))
+        else:
+            problem = instance.linear_problem()
+            if method == "llk":
+                problem, _ = mk.rescale_problem(problem)
+            result = mk.run_linear(problem, mk.SolverConfig(method=method))
+        assert summary["termination_reason"] == result.reason
+        assert summary["final_residuals"] == result.final_residuals
+        assert summary["tau_delta_bounds"] == result.tau_delta_bounds
+        assert summary["discrepancy_ok"] is result.discrepancy_ok
+
     def test_llk_records_scaling_report(self, tmp_path, generated):
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec", method="llk")
         assert main(["reconstruct", "--config", str(run)]) == 0
@@ -718,18 +739,19 @@ class TestReconstructCommand:
     def test_final_residuals_come_from_the_trace_after_an_idle_cycle(
         self, tmp_path, generated, monkeypatch, max_cycles, reason, sweeps
     ):
-        """A last cycle whose steps all loped left x as it was: no transform runs after the solve."""
+        """A last cycle whose steps all loped left x as it was, so the solve reads the final
+        residuals from the trace; a cap stop sweeps once more inside the solve.  The CLI
+        runs no transform after the solve in either case."""
         solved = []
-        forward_after_solve = []
+        forwards = []
 
         def run_linear(*args, **kwargs):
             result = mk.run_linear(*args, **kwargs)
-            solved.append((args[0], result))
+            solved.append((args[0], result, len(forwards)))
             return result
 
         def forward_values(plan, values, out=None):
-            if solved:
-                forward_after_solve.append(values)
+            forwards.append(values)
             return forward(plan, values, out)
 
         forward = mk.DftPlan.forward_values
@@ -738,11 +760,13 @@ class TestReconstructCommand:
         run = write_run_config(tmp_path / "run.json", generated, tmp_path / "rec")
         flags = [] if max_cycles is None else ["--max-cycles", str(max_cycles)]
         assert main(["reconstruct", "--config", str(run), *flags]) == 0
-        assert len(forward_after_solve) == sweeps
         monkeypatch.undo()
+        (problem, result, in_solve), = solved
+        trace = result.trace
+        assert len(forwards) == in_solve
+        assert in_solve == trace.r_num + trace.n_steps + int(trace.omegas.sum()) + sweeps
         summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
         assert summary["termination_reason"] == reason
-        (problem, result), = solved
         sweep = [
             mk.norm(op.apply(result.final) - y)
             for op, y in zip(problem.operators, problem.measurements.vectors)

@@ -148,7 +148,8 @@ class TestJointForward:
 
 
 def test_joint_lsdk_run_computes_one_sensitivity_per_step(monkeypatch):
-    """r_num for the initial residuals, one S_i(x) per step, S_i(dx) per step size."""
+    """r_num for the initial residuals, one S_i(x) per step, S_i(dx) per step size,
+    and r_num for the final residuals of a run that did not stop by the rule."""
     problem = mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, seed=21)).joint_problem()
     calls = []
 
@@ -161,7 +162,8 @@ def test_joint_lsdk_run_computes_one_sensitivity_per_step(monkeypatch):
     r_num, n_steps = result.trace.r_num, result.trace.n_steps
     n_active = int(result.trace.omegas.sum())
     assert 0 < n_active < n_steps
-    assert len(calls) == r_num + n_steps + n_active
+    assert result.reason == mk.CYCLE_CAP
+    assert len(calls) == r_num + n_steps + n_active + r_num
 
 
 class TestDerivativeJoint:

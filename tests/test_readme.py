@@ -38,6 +38,10 @@ def test_solver_config_fields_match_the_module_table():
     }
 
 
+def test_solve_result_fields_match_the_dataclass():
+    assert listed(r"`SolveResult` \(([^)]*)\)") == {f.name for f in dataclasses.fields(mk.SolveResult)}
+
+
 def test_json_integers_match_the_field_kinds():
     assert listed(r"Integers: (.*?)\.") == json_fields(io.INTEGER)
 

@@ -80,6 +80,11 @@ class TestSolverConfig:
         with pytest.raises(ConfigurationError, match="max_cycles must be an integer"):
             mk.SolverConfig(max_cycles=value)
 
+    @pytest.mark.parametrize("value", ["2.5", None, 3 + 0j, True, np.bool_(True)])
+    def test_tau_must_be_a_real_number(self, value):
+        with pytest.raises(ConfigurationError, match="^tau must be a real number, got "):
+            mk.SolverConfig(tau=value)
+
     def test_max_cycles_accepts_numpy_integers(self):
         assert mk.SolverConfig(max_cycles=np.int64(3)).max_cycles == 3
 
@@ -370,6 +375,16 @@ class TestStartPointChecks:
         with pytest.raises(ConfigurationError, match="^a linear run takes no initial_coefficients$"):
             mk.run_linear(instance8.linear_problem(), config)
 
+    @pytest.mark.parametrize(
+        "initial",
+        [mk.JointParameter.zero(mk.GridShape(8, 8), 4, 2), np.zeros(64, dtype=complex)],
+        ids=["joint-parameter", "ndarray"],
+    )
+    def test_linear_start_must_be_an_image(self, instance8, initial):
+        config = mk.SolverConfig(initial_image=initial)
+        with pytest.raises(ConfigurationError, match="^initial_image for a linear run must be a ComplexImage$"):
+            mk.run_linear(instance8.linear_problem(), config)
+
     def test_linear_start_image_on_another_grid(self, instance8):
         config = mk.SolverConfig(initial_image=mk.ComplexImage.zero(OTHER_GRID))
         with pytest.raises(DimensionMismatch, match="^image grid does not match the operator$"):
@@ -406,6 +421,67 @@ class TestStartPointChecks:
     def test_joint_reference_layout(self, instance8, reference, message):
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             mk.run_joint(instance8.joint_problem(), reference=reference)
+
+
+@pytest.fixture(scope="module")
+def noisy8():
+    """8x8, 5% noise: lsdk, rescaled llk and joint lsdk each stop by the rule within 25 cycles."""
+    return mk.synthesize(mk.InstanceSpec(p_hor=8, p_ver=8, b_num=2, deltas=0.05, seed=21))
+
+
+class TestVerdict:
+    """A result carries its final residuals, their bounds tau * delta_i and ``discrepancy_ok``."""
+
+    @pytest.mark.parametrize("kind", ["lsdk", "llk", "joint"])
+    @pytest.mark.parametrize(
+        "max_cycles, reason", [(10000, mk.STOPPING_RULE), (1, mk.CYCLE_CAP)], ids=["rule", "cap"]
+    )
+    def test_final_residuals_are_the_fresh_residuals(self, noisy8, kind, max_cycles, reason):
+        config = mk.SolverConfig(method="llk" if kind == "llk" else "lsdk", max_cycles=max_cycles)
+        if kind == "joint":
+            problem = noisy8.joint_problem()
+            result = mk.run_joint(problem, config)
+        else:
+            problem = noisy8.linear_problem()
+            if kind == "llk":
+                problem, _ = mk.rescale_problem(problem)
+            result = mk.run_linear(problem, config)
+        assert result.reason == reason
+        fresh = [
+            mk.norm(op.apply(result.final) - y)
+            for op, y in zip(problem.operators, problem.measurements.vectors)
+        ]
+        assert result.final_residuals == fresh
+        assert result.tau_delta_bounds == [config.tau * float(d) for d in problem.measurements.deltas]
+        assert result.discrepancy_ok is (reason == mk.STOPPING_RULE)
+
+    def test_exact_data_stop_sweeps_the_final_iterate(self):
+        problem = mk.synthesize(mk.InstanceSpec(p_hor=4, p_ver=4, deltas=0.0, seed=21)).linear_problem()
+        result = mk.run_linear(problem)
+        assert result.reason == mk.EXACT_DATA_TOLERANCE
+        fresh = [
+            mk.norm(op.apply(result.final) - y)
+            for op, y in zip(problem.operators, problem.measurements.vectors)
+        ]
+        assert result.final_residuals == fresh
+        assert result.tau_delta_bounds == [0.0] * problem.r_num
+        assert not result.discrepancy_ok  # a residual of 1e-11 is not within a zero bound
+
+    def test_last_residuals_are_each_receivers_latest(self):
+        def trace(n_steps):
+            return mk.IterationTrace(
+                omegas=np.ones(n_steps, dtype=np.int64),
+                alphas=np.ones(n_steps),
+                residuals=np.arange(n_steps, dtype=np.float64),
+                errors=None,
+                k_star=None,
+                r_num=4,
+            )
+
+        assert trace(0).last_residuals == [None] * 4
+        assert trace(2).last_residuals == [0.0, 1.0, None, None]
+        assert trace(6).last_residuals == [4.0, 5.0, 2.0, 3.0]
+        assert trace(8).last_residuals == [4.0, 5.0, 6.0, 7.0]
 
 
 def value_arrays(value):
